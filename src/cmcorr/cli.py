@@ -134,8 +134,7 @@ def _report_entry(j, report) -> dict:
 
 def cmd_compute(args) -> int:
     j, px, py = load_instance(args.input)
-    opts = CmcOptions(mode=args.mode.replace("-", "_"),
-                      relation_cap=args.cap)
+    opts = CmcOptions(mode=args.mode.replace("-", "_"))
     measures = MEASURES[:-1] if args.measure == "all" else (args.measure,)
     out: dict = {}
     for measure in measures:
@@ -168,8 +167,7 @@ def cmd_oracle(args) -> int:
     cfg = OracleConfig(grid_step=args.step, refine_iters=args.refine_iters,
                        restart_count=args.restarts, seed=args.seed)
     oracle_value = grid_oracle(j, px, py, cfg)
-    engine_value = cmc_exact(j, px, py,
-                             CmcOptions(relation_cap=args.cap)).value
+    engine_value = cmc_exact(j, px, py).value
     _write_out({
         "schema": "cmcorr.oracle.v1",
         "input": args.input,
@@ -257,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--mode",
                            choices=("paper-faithful", "extended"),
                            default="extended")
-    p_compute.add_argument("--cap", type=int, default=24,
-                           help="strict-relation cap for the enumeration")
     p_compute.add_argument("--out", default=None)
     p_compute.set_defaults(func=cmd_compute)
 
@@ -268,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--refine-iters", type=int, default=25)
     p_oracle.add_argument("--restarts", type=int, default=3)
     p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.add_argument("--cap", type=int, default=24)
     p_oracle.add_argument("--out", default=None)
     p_oracle.set_defaults(func=cmd_oracle)
 

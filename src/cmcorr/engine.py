@@ -8,12 +8,16 @@ point of the bilinear objective on unit spheres, hence a singular pair of
 the merged problem's Witsenhausen matrix with covariance equal to plus or
 minus one of its singular values.
 
-The engine therefore enumerates all merge subsets of the two relations,
-deduplicated to distinct block-partition pairs, solves the merged spectral
-problem on each face, lifts singular-pair candidates back to the original
+At a monotone optimum every comparable pair that is not tight satisfies
+f(a) < f(b), so the face of tight pairs has an acyclic quotient order.  The
+engine therefore enumerates only faces whose blocks are connected through
+strict pairs and whose quotient is acyclic (on a chain: the 2^(n-1)
+interval partitions), solves the merged spectral problem on each face in
+one serial pass, lifts singular-pair candidates back to the original
 alphabets, and keeps every candidate whose lift is monotone.  Kept
 candidates are feasible by construction, so the reported maximum never
-overshoots the true value.
+overshoots the true value.  Instances with more than ``FACE_LIMIT`` faces
+are refused before any spectral work.
 
 Two candidate policies are supported:
 
@@ -31,7 +35,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,31 +72,27 @@ MODES = ("paper_faithful", "extended")
 _FEASIBILITY_TOL = 1e-8
 _VALUE_GUARD = 1e-8
 
+# Largest face count |parts_x| * |parts_y| the engine will solve.
+FACE_LIMIT = 2 ** 16
+
 
 @dataclass(frozen=True)
 class CmcOptions:
-    """Knobs for the exact engine.
+    """Knobs for the exact engine: the candidate policy and tolerances.
 
-    ``workers`` fixes the thread count when ``parallel`` is set; the
-    reduction is a pure function of the candidate set, so reports are
-    identical for any worker count.  ``relation_cap`` bounds
-    |R_X| + |R_Y| before the exponential enumeration starts.
+    The size guard is not an option: instances with more than
+    ``FACE_LIMIT`` faces raise :class:`EnumerationTooLarge`.
     """
 
     mode: str = "extended"
     monotone_tol: float = 1e-9
     tie_tol: float = 1e-9
-    parallel: bool = False
-    workers: int | None = None
-    relation_cap: int = 24
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise InputError(f"unknown mode {self.mode!r}")
         if self.monotone_tol < 0 or self.tie_tol < 0:
             raise InputError("tolerances must be nonnegative")
-        if self.workers is not None and self.workers < 1:
-            raise InputError("workers must be positive")
 
 
 @dataclass(frozen=True)
@@ -118,42 +117,172 @@ class Candidate:
         )
 
 
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def distinct_partitions(p: Poset) -> list[BlockPartition]:
-    """All block partitions reachable by merging subsets of strict pairs.
+    """The block partitions that can be the face of a monotone optimum.
 
-    Merging a subset is the same as merging its pairs one at a time, so the
-    achievable set is the closure of the trivial partition under
-    single-pair merges; that closure is far smaller than 2^|R|.
+    These are the partitions whose blocks are connected through strict
+    pairs inside the block and whose quotient relation (block A -> block B
+    when some a in A lies below some b in B) is acyclic.  They are exactly
+    the partitions produced by peeling: repeatedly remove a non-empty
+    connected down-set of the remaining elements and make it the next
+    block.  Different peel orders can give the same partition, so results
+    are deduplicated.  On a chain this yields the 2^(n-1) interval
+    partitions.  Comparability components are partitioned independently,
+    and every remainder is filled bottom-up without recursion.
+
+    Raises :class:`EnumerationTooLarge` as soon as any count shows that
+    this side alone has more than ``FACE_LIMIT`` partitions.  Every
+    remainder is an up-set, and each of its partitions extends to a
+    distinct partition of the whole order, so no count overshoots.
     """
-    trivial = partition_from_blocks(([i] for i in range(p.size)), p.size)
-    seen: dict[tuple, BlockPartition] = {trivial.blocks: trivial}
-    frontier = [trivial]
-    pairs = p.pairs_sorted()
-    while frontier:
-        grown: list[BlockPartition] = []
-        for part in frontier:
-            for i, k in pairs:
-                bi, bk = part.block_of[i], part.block_of[k]
-                if bi == bk:
-                    continue
-                blocks = [b for n, b in enumerate(part.blocks)
-                          if n not in (bi, bk)]
-                blocks.append(part.blocks[bi] + part.blocks[bk])
-                merged = partition_from_blocks(blocks, p.size)
-                if merged.blocks not in seen:
-                    seen[merged.blocks] = merged
-                    grown.append(merged)
-        frontier = grown
-    return sorted(seen.values(), key=lambda q: q.blocks)
+    n = p.size
+    below = [0] * n  # bitmask of the elements strictly below i
+    near = [0] * n   # bitmask of the elements comparable to i
+    for i, k in p.strict_pairs:
+        below[k] |= 1 << i
+        near[i] |= 1 << k
+        near[k] |= 1 << i
+    # bottom-up by the number of elements below, as Poset.linear_extension
+    order = sorted(range(n), key=lambda i: (below[i].bit_count(), i))
+    rank = [0] * n
+    for r, i in enumerate(order):
+        rank[i] = r
+
+    def members(mask: int) -> list[int]:
+        """The elements of ``mask`` bottom-up, minimal ones first."""
+        return sorted(_bits(mask), key=rank.__getitem__)
+
+    def check(count: int) -> int:
+        if count > FACE_LIMIT:
+            raise EnumerationTooLarge(
+                f"a {n}-element order has more than {FACE_LIMIT} faces")
+        return count
+
+    # Grouping the elements by level (the longest chain ending there) and
+    # cutting between any subset of the h levels gives 2^(h-1) distinct
+    # faces, so tall orders are refused before anything is listed.
+    rest, layers = (1 << n) - 1, 0
+    while rest:
+        check(1 << layers)
+        rest &= ~sum(1 << i for i in _bits(rest) if not below[i] & rest)
+        layers += 1
+
+    def component(mask: int) -> int:
+        """The comparability component of ``mask`` holding its lowest bit."""
+        seen = frontier = mask & -mask
+        while frontier:
+            low = frontier & -frontier
+            grown = near[low.bit_length() - 1] & mask & ~seen
+            seen |= grown
+            frontier = (frontier ^ low) | grown
+        return seen
+
+    splits: dict[int, tuple[int, list[int]]] = {}
+
+    def split(rest: int) -> tuple[int, list[int]]:
+        """The component of ``rest`` holding its lowest bit and, when that
+        is all of ``rest``, the non-empty connected down-sets of ``rest``
+        (the blocks that can be peeled next)."""
+        if rest not in splits:
+            comp, sets = component(rest), [0]
+            if comp == rest:  # a disconnected remainder is split instead
+                for i in members(rest):
+                    sets += [s | 1 << i for s in sets
+                             if not below[i] & rest & ~s]
+                    # each down-set but the empty and the full one is a
+                    # face of its own: its components and its complement's
+                    check(len(sets) - 1)
+            splits[rest] = comp, [s for s in sets
+                                  if s and component(s) == s]
+        return splits[rest]
+
+    def remainders(rest: int, low: int) -> list[int]:
+        """What is left after peeling a block of ``rest`` that meets
+        ``low``, or its two parts when ``rest`` is disconnected."""
+        comp, blocks = split(rest)
+        if comp != rest:
+            return [comp, rest & ~comp]
+        return [rest & ~b for b in blocks if b & low]
+
+    def fill(memo: dict, root: int, low, combine):
+        """``memo[root]``, computing every remainder it needs first; the
+        peeled blocks considered are those meeting ``low(rest)``."""
+        stack = [root]
+        while stack:
+            rest = stack[-1]
+            if rest in memo:
+                stack.pop()
+                continue
+            todo = [r for r in remainders(rest, low(rest)) if r not in memo]
+            if todo:
+                stack += todo
+            else:
+                memo[rest] = combine(rest)
+        return memo[root]
+
+    def first(rest: int) -> int:
+        """A minimal element of ``rest``, as a bit."""
+        return 1 << min(_bits(rest), key=rank.__getitem__)
+
+    def count(rest: int) -> int:
+        """A count of partitions of ``rest`` that never exceeds the total.
+
+        Partitions whose first block holds a fixed minimal element differ
+        in that block, so counting only them overcounts nothing; this cheap
+        count refuses large orders before any partition is built.
+        """
+        got = [bounds[r] for r in remainders(rest, first(rest))]
+        return check(math.prod(got) if split(rest)[0] != rest else sum(got))
+
+    def partitions(rest: int) -> set[tuple[int, ...]]:
+        """All partitions of ``rest``, each a sorted tuple of block masks."""
+        comp, blocks = split(rest)
+        if comp != rest:  # incomparable parts are partitioned independently
+            one, other = faces[comp], faces[rest & ~comp]
+            check(len(one) * len(other))
+            return {tuple(sorted(a + b)) for a in one for b in other}
+        out = {tuple(sorted(tail + (block,))) for block in blocks
+               for tail in faces[rest & ~block]}
+        check(len(out))
+        return out
+
+    comps, rest = [], (1 << n) - 1
+    while rest:
+        comps.append(component(rest))
+        rest &= ~comps[-1]
+    bounds = {0: 1}
+    total = 1
+    for comp in comps:
+        total = check(total * fill(bounds, comp, first, count))
+    faces = {0: {()}}
+    parts = [()]
+    for comp in comps:
+        # every block of ``rest`` meets ``rest``: all of them are peeled
+        own = fill(faces, comp, lambda rest: rest, partitions)
+        check(len(parts) * len(own))
+        parts = [a + b for a in parts for b in own]
+    return sorted((partition_from_blocks(map(_bits, part), n)
+                   for part in parts), key=lambda q: q.blocks)
 
 
-def _quotient_scores(p: Poset, part: BlockPartition) -> np.ndarray | None:
-    """A deterministic non-constant monotone block function, if one exists.
+def _quotient_scores(p: Poset, part: BlockPartition) -> np.ndarray:
+    """A deterministic non-constant monotone block function.
 
     Uses longest-path depth over the cross-block order edges.  With no
     cross-block edges every block-constant function is monotone, so the
-    indicator of the first block serves.  Returns None when the quotient
-    relation is cyclic (no non-constant block function is certain there).
+    indicator of the first block serves.  The quotient of every enumerated
+    face is acyclic, so a longest path has fewer than ``nb`` edges and
+    ``nb - 1`` relaxation sweeps reach it.
     """
     nb = len(part.blocks)
     edges = sorted({
@@ -166,15 +295,15 @@ def _quotient_scores(p: Poset, part: BlockPartition) -> np.ndarray | None:
         out[0] = 1.0
         return out
     depth = np.zeros(nb)
-    for _ in range(nb):
+    for _ in range(nb - 1):
         changed = False
         for a, b in edges:
             if depth[b] < depth[a] + 1.0:
                 depth[b] = depth[a] + 1.0
                 changed = True
         if not changed:
-            return depth
-    return None  # still relaxing after nb sweeps: cycle
+            break
+    return depth
 
 
 def _feasible(weights: np.ndarray, vec: np.ndarray) -> bool:
@@ -227,23 +356,20 @@ def _face_candidates(js: JointPmf, pxs: Poset, pys: Poset,
                     break  # the global flip has the same covariance
 
     if opts.mode == "extended":
-        fq = _quotient_scores(pxs, bx)
-        gq = _quotient_scores(pys, by)
-        if fq is not None and gq is not None:
-            fn = _normalize(pmx, fq)
-            gn = _normalize(pmy, gq)
-            if fn is not None and gn is not None:
-                fl = fn[bx_idx]
-                gl = gn[by_idx]
-                checked += 1
-                if is_monotone(fl, pxs, opts.monotone_tol) and \
-                        is_monotone(gl, pys, opts.monotone_tol):
-                    pair = ScoredPair(f=fl, g=gl)
-                    kept.append(Candidate(
-                        partition_x=bx, partition_y=by, kind="structural",
-                        index=0, orientation=1,
-                        pair=pair, cov=pair_stats(js, pair).cov,
-                    ))
+        fn = _normalize(pmx, _quotient_scores(pxs, bx))
+        gn = _normalize(pmy, _quotient_scores(pys, by))
+        if fn is not None and gn is not None:
+            fl = fn[bx_idx]
+            gl = gn[by_idx]
+            checked += 1
+            if is_monotone(fl, pxs, opts.monotone_tol) and \
+                    is_monotone(gl, pys, opts.monotone_tol):
+                pair = ScoredPair(f=fl, g=gl)
+                kept.append(Candidate(
+                    partition_x=bx, partition_y=by, kind="structural",
+                    index=0, orientation=1,
+                    pair=pair, cov=pair_stats(js, pair).cov,
+                ))
     return kept, checked, degenerate
 
 
@@ -290,38 +416,30 @@ def cmc_exact(j: JointPmf, px: Poset, py: Poset,
 
     Ties within ``tie_tol`` of the maximum are broken lexicographically by
     (canonical partition pair, singular index, orientation), which makes
-    the report independent of evaluation order and worker count.
+    the report independent of the order in which faces are evaluated.
+    Raises :class:`EnumerationTooLarge` when the instance has more than
+    ``FACE_LIMIT`` faces, before any merge or spectral work.
     """
     start = time.perf_counter()
     js, pxs, pys, keep_x, keep_y = strip_zero_support(j, px, py)
-    n_relations = len(pxs.strict_pairs) + len(pys.strict_pairs)
-    if n_relations > opts.relation_cap:
-        raise EnumerationTooLarge(
-            f"{n_relations} strict relations exceed the cap "
-            f"{opts.relation_cap}; raise the cap to proceed"
-        )
     parts_x = distinct_partitions(pxs)
     parts_y = distinct_partitions(pys)
-    jobs = [(bx, by) for bx in parts_x for by in parts_y]
-
-    def run(job):
-        return _face_candidates(js, pxs, pys, job[0], job[1], opts)
-
-    if opts.parallel and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=opts.workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
+    n_faces = len(parts_x) * len(parts_y)
+    if n_faces > FACE_LIMIT:
+        raise EnumerationTooLarge(
+            f"{len(parts_x)} x {len(parts_y)} = {n_faces} faces exceed the "
+            f"limit {FACE_LIMIT}"
+        )
+    results = [_face_candidates(js, pxs, pys, bx, by, opts)
+               for bx in parts_x for by in parts_y]
 
     candidates = [c for kept, _, _ in results for c in kept]
     diagnostics = {
         "mode": opts.mode,
-        "partitions_enumerated": len(jobs),
-        "subset_pairs_pre_dedup": 2 ** n_relations,
+        "partitions_enumerated": n_faces,
         "candidates_checked": sum(n for _, n, _ in results),
         "candidates_kept": len(candidates),
         "degenerate_spectra": sum(d for _, _, d in results),
-        "workers": opts.workers if opts.parallel else 1,
     }
 
     if not candidates:

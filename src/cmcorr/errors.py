@@ -92,7 +92,7 @@ class ZeroMarginal(InputError):
 
 
 class EnumerationTooLarge(InputError):
-    """The merge enumeration exceeds the configured relation cap."""
+    """The face enumeration exceeds the engine's ``FACE_LIMIT``."""
 
 
 class SOutOfRange(InputError):

@@ -16,6 +16,7 @@ import numpy as np
 from .classic import kendall_tau_b, pearson, spearman
 from .dist import JointPmf, joint_pmf, marginal_x, marginal_y, product_pmf
 from .engine import (
+    FACE_LIMIT,
     CmcOptions,
     cmc_exact,
     cmc_plus,
@@ -205,12 +206,13 @@ def verify_fkg(n: int, bias_list) -> VerifyReport:
 
     X is a vector of independent bits under the componentwise order and
     Y = X under the reversed order; exact enumeration requires n <= 2
-    (the relation count leaves the cap at n = 3).
+    (at n = 3 each 8-element hypercube has 404 faces, and 404 x 404 =
+    163,216 exceeds the engine's ``FACE_LIMIT``).
     """
     if n not in (1, 2):
         raise CapExceeded(
-            "exact FKG verification supports n in {1, 2}; the relation "
-            "count at n >= 3 exceeds the enumeration cap"
+            "exact FKG verification supports n in {1, 2}; the face count "
+            f"at n >= 3 exceeds the engine's limit of {FACE_LIMIT} faces"
         )
     def gen():
         for biases in bias_list:

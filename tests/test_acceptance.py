@@ -199,29 +199,34 @@ def test_c09_witsenhausen_contract():
                violations, 30.0, time.perf_counter() - start, 1.0)
 
 
-def test_c10_determinism_across_workers():
+def test_c10_determinism_across_face_order(monkeypatch):
     start = time.perf_counter()
     violations = []
-    for t in range(20):
-        j = random_pmf(100_000 + t, 3, 4)
-        px, py = total_orders(j)
-        reports = [
-            c.cmc_exact(j, px, py, c.CmcOptions(parallel=True, workers=w))
-            for w in (1, 2, 8)
-        ]
-        ref = reports[0]
+    instances = [random_pmf(100_000 + t, 3, 4) for t in range(20)]
+    refs = [c.cmc_exact(j, *total_orders(j)) for j in instances]
+    enumerate_faces = c.engine.distinct_partitions
+    rng = np.random.default_rng(100_100)
+
+    def shuffled(p):
+        parts = enumerate_faces(p)
+        rng.shuffle(parts)
+        return parts
+
+    monkeypatch.setattr(c.engine, "distinct_partitions", shuffled)
+    for j, ref in zip(instances, refs):
+        reports = [c.cmc_exact(j, *total_orders(j)) for _ in range(3)]
         same = all(
             r.value == ref.value
             and np.array_equal(r.witness.f, ref.witness.f)
             and np.array_equal(r.witness.g, ref.witness.g)
             and {k: v for k, v in r.diagnostics.items()
-                 if k not in ("runtime_seconds", "workers")} ==
+                 if k != "runtime_seconds"} ==
             {k: v for k, v in ref.diagnostics.items()
-             if k not in ("runtime_seconds", "workers")}
-            for r in reports[1:]
+             if k != "runtime_seconds"}
+            for r in reports
         )
         violations.append(0.0 if same else 1.0)
-    _criterion(10, "reports identical across 1, 2, and 8 workers",
+    _criterion(10, "reports identical under shuffled face order",
                violations, 60.0, time.perf_counter() - start, 0.0)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from cmcorr.cli import main
 from cmcorr.errors import NumericalFailure
+from cmcorr.order import product, total_order
 
 DSBS_DOC = {
     "x": {"labels": ["0", "1"], "values": [0, 1], "order": "total"},
@@ -141,19 +142,29 @@ class TestCompute:
         monkeypatch.setattr(cli_mod, "cmc_exact", boom)
         assert main(["compute", dsbs_path, "--measure", "cmc"]) == 2
 
-    def test_cap_flag(self, tmp_path):
-        doc = {
-            "x": {"labels": [str(i) for i in range(5)], "order": "total"},
-            "y": {"labels": [str(i) for i in range(5)], "order": "total"},
-            "pmf": (np.full((5, 5), 0.04)).tolist(),
-        }
-        path = tmp_path / "five.json"
+    def test_face_limit_exits_one(self, tmp_path, capsys):
+        # 8-element hypercubes on both sides: 404 x 404 faces
+        cube = product(product(total_order(["0", "1"]),
+                               total_order(["0", "1"])),
+                       total_order(["0", "1"]))
+        side = {"labels": [str(i) for i in range(8)],
+                "order": {"pairs": sorted(map(list, cube.strict_pairs))}}
+        doc = {"x": side, "y": side,
+               "pmf": np.full((8, 8), 1 / 64).tolist()}
+        path = tmp_path / "cubes.json"
         path.write_text(json.dumps(doc))
-        assert main(["compute", str(path), "--measure", "cmc",
-                     "--cap", "19"]) == 1
-        out = tmp_path / "ok.json"
-        assert main(["compute", str(path), "--measure", "cmc",
-                     "--cap", "20", "--out", str(out)]) == 0
+        assert main(["compute", str(path), "--measure", "cmc"]) == 1
+        assert "404 x 404 = 163216 faces exceed" in capsys.readouterr().err
+
+    def test_long_chain_exits_one(self, tmp_path, capsys):
+        labels = [str(i) for i in range(600)]
+        doc = {"x": {"labels": labels, "order": "total"},
+               "y": {"labels": ["0", "1"], "order": "total"},
+               "pmf": np.full((600, 2), 1 / 1200).tolist()}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        assert main(["compute", str(path), "--measure", "cmc"]) == 1
+        assert "600-element order has more than" in capsys.readouterr().err
 
 
 class TestOracle:

@@ -1,11 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import cmcorr.engine as engine
 from cmcorr.classic import pearson
 from cmcorr.dist import check_report, joint_pmf, pair_stats
 from cmcorr.engine import (
+    FACE_LIMIT,
+    MODES,
     CmcOptions,
     cmc_exact,
     cmc_plus,
@@ -27,7 +31,9 @@ from cmcorr.oracle import OracleConfig, grid_oracle
 from cmcorr.order import (
     antichain,
     is_monotone,
+    partition_from_blocks,
     poset_from_pairs,
+    product,
     reverse,
     total_order,
 )
@@ -46,6 +52,95 @@ def total_orders(j):
 def random_pmf(rng, m, n):
     return joint_pmf(rng.dirichlet(np.ones(m * n)).reshape(m, n),
                      x_values=tuple(range(m)), y_values=tuple(range(n)))
+
+
+def hypercube(bits, labels=None):
+    chain = total_order(["0", "1"])
+    cube = chain
+    for _ in range(bits - 1):
+        cube = product(cube, chain)
+    labels = cube.labels if labels is None else labels
+    return poset_from_pairs(labels, cube.strict_pairs)
+
+
+def quotient_is_acyclic(p, part):
+    """Kahn's algorithm on the block relation A -> B when some a < b."""
+    edges = {(part.block_of[i], part.block_of[k]) for i, k in p.strict_pairs
+             if part.block_of[i] != part.block_of[k]}
+    indegree = [0] * len(part.blocks)
+    for _, b in edges:
+        indegree[b] += 1
+    ready = [b for b, d in enumerate(indegree) if d == 0]
+    removed = 0
+    while ready:
+        a = ready.pop()
+        removed += 1
+        for x, b in edges:
+            if x == a:
+                indegree[b] -= 1
+                if indegree[b] == 0:
+                    ready.append(b)
+    return removed == len(part.blocks)
+
+
+def blocks_are_connected(p, part):
+    """Every block is connected through the strict pairs inside it."""
+    for block in part.blocks:
+        reached = {block[0]}
+        grown = True
+        while grown:
+            grown = False
+            for i, k in p.strict_pairs:
+                if i in block and k in block and (i in reached) != \
+                        (k in reached):
+                    reached |= {i, k}
+                    grown = True
+        if reached != set(block):
+            return False
+    return True
+
+
+def closure_partitions(p):
+    """Reference enumerator: the closure of the trivial partition under
+    single strict-pair merges, keeping only acyclic quotients."""
+    trivial = partition_from_blocks(([i] for i in range(p.size)), p.size)
+    seen = {trivial.blocks: trivial}
+    frontier = [trivial]
+    pairs = p.pairs_sorted()
+    while frontier:
+        grown = []
+        for part in frontier:
+            for i, k in pairs:
+                bi, bk = part.block_of[i], part.block_of[k]
+                if bi == bk:
+                    continue
+                blocks = [b for n, b in enumerate(part.blocks)
+                          if n not in (bi, bk)]
+                blocks.append(part.blocks[bi] + part.blocks[bk])
+                merged = partition_from_blocks(blocks, p.size)
+                if merged.blocks not in seen:
+                    seen[merged.blocks] = merged
+                    grown.append(merged)
+        frontier = grown
+    return sorted((q for q in seen.values() if quotient_is_acyclic(p, q)),
+                  key=lambda q: q.blocks)
+
+
+def reference_posets():
+    labels3 = ["a", "b", "c"]
+    out = {}
+    for n in range(1, 8):
+        chain = total_order([str(i) for i in range(n)])
+        out[f"chain{n}"] = chain
+        out[f"chain{n}r"] = reverse(chain)
+    out["antichain"] = antichain(["a", "b", "c", "d"])
+    out["vee"] = poset_from_pairs(labels3, {(0, 1), (0, 2)})
+    out["diamond"] = poset_from_pairs(
+        ["a", "b", "c", "d"], {(0, 1), (0, 2), (1, 3), (2, 3)})
+    out["chain3xchain2"] = product(total_order(labels3),
+                                   total_order(["0", "1"]))
+    out["cube3"] = hypercube(3)
+    return out
 
 
 def discordant_uniform_pair():
@@ -70,12 +165,11 @@ class TestDistinctPartitions:
     def test_chain_three_partitions(self):
         parts = distinct_partitions(total_order(["a", "b", "c"]))
         blocks = {p.blocks for p in parts}
-        # all five partitions of three mutually comparable elements
+        # the four interval partitions; ((0, 2), (1,)) has a cyclic quotient
         assert blocks == {
             ((0,), (1,), (2,)),
             ((0, 1), (2,)),
             ((0,), (1, 2)),
-            ((0, 2), (1,)),
             ((0, 1, 2),),
         }
 
@@ -83,6 +177,77 @@ class TestDistinctPartitions:
         parts = distinct_partitions(antichain(["a", "b", "c"]))
         assert len(parts) == 1
         assert parts[0].is_trivial()
+
+    @pytest.mark.parametrize("name", sorted(reference_posets()))
+    def test_matches_filtered_closure(self, name):
+        p = reference_posets()[name]
+        parts = distinct_partitions(p)
+        assert [q.blocks for q in parts] == \
+            [q.blocks for q in closure_partitions(p)]
+
+    @pytest.mark.parametrize("name", sorted(reference_posets()))
+    def test_faces_acyclic_and_connected(self, name):
+        p = reference_posets()[name]
+        for part in distinct_partitions(p):
+            assert quotient_is_acyclic(p, part)
+            assert blocks_are_connected(p, part)
+
+    def test_counts(self):
+        for n in range(1, 9):
+            chain = total_order([str(i) for i in range(n)])
+            assert len(distinct_partitions(chain)) == 2 ** (n - 1)
+            assert len(distinct_partitions(reverse(chain))) == 2 ** (n - 1)
+        assert len(distinct_partitions(hypercube(3))) == 404
+        assert len(distinct_partitions(antichain(map(str, range(20))))) == 1
+
+    def test_limit_refuses_exactly_the_larger_orders(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        for _ in range(150):
+            n = int(rng.integers(1, 8))
+            perm = rng.permutation(n)
+            density = rng.uniform(0.1, 0.6)
+            pairs = {(int(perm[i]), int(perm[k])) for i in range(n)
+                     for k in range(i + 1, n) if rng.random() < density}
+            p = poset_from_pairs(map(str, range(n)), pairs)
+            expected = [q.blocks for q in closure_partitions(p)]
+            monkeypatch.setattr(engine, "FACE_LIMIT", len(expected))
+            assert [q.blocks for q in distinct_partitions(p)] == expected
+            monkeypatch.setattr(engine, "FACE_LIMIT", len(expected) - 1)
+            with pytest.raises(EnumerationTooLarge):
+                distinct_partitions(p)
+
+    @pytest.mark.parametrize("reversed_", [False, True])
+    def test_one_side_over_limit_refused(self, reversed_):
+        # the 16-element hypercube alone has more than FACE_LIMIT faces
+        cube = hypercube(4)
+        with pytest.raises(EnumerationTooLarge):
+            distinct_partitions(reverse(cube) if reversed_ else cube)
+
+    @pytest.mark.parametrize("reversed_", [False, True])
+    def test_long_chain_refused(self, reversed_):
+        chain = total_order([str(i) for i in range(600)])
+        with pytest.raises(EnumerationTooLarge):
+            distinct_partitions(reverse(chain) if reversed_ else chain)
+
+    def test_wide_antichain_has_one_face(self):
+        # far deeper than the interpreter's recursion limit would allow
+        parts = distinct_partitions(antichain([str(i) for i in range(1200)]))
+        assert len(parts) == 1
+        assert parts[0].is_trivial()
+
+    @pytest.mark.parametrize("reversed_", [False, True])
+    def test_wide_star_refused_before_listing(self, reversed_):
+        # one element below 30 others: 2^30 down-sets, so 2^30 faces
+        star = poset_from_pairs(map(str, range(31)),
+                                {(0, k) for k in range(1, 31)})
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationTooLarge):
+                distinct_partitions(reverse(star) if reversed_ else star)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestCmcExact:
@@ -121,13 +286,23 @@ class TestCmcExact:
         assert is_monotone(report.witness.f, px, 1e-9)
         assert abs(pair_stats(j, report.witness).cov - report.value) <= 1e-7
 
-    def test_enumeration_cap(self):
-        j = joint_pmf(np.full((5, 5), 0.04),
-                      x_values=tuple(range(5)), y_values=tuple(range(5)))
-        px, py = total_orders(j)  # 10 + 10 = 20 relations
+    def test_enumeration_cap(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        j = random_pmf(rng, 6, 6)
+        report = cmc_exact(j, *total_orders(j))  # 32 x 32 faces
+        assert report.diagnostics["partitions_enumerated"] == 1024
+        check_report(j, report)
+
+        def merge_past_guard(*args, **kwargs):
+            raise AssertionError("merge ran past the face guard")
+
+        monkeypatch.setattr(engine, "merge_pmf", merge_past_guard)
+        j8 = joint_pmf(np.full((8, 8), 1 / 64))
+        px = hypercube(3, j8.x_labels)
+        py = hypercube(3, j8.y_labels)  # 404 x 404 faces
+        assert 404 ** 2 > FACE_LIMIT
         with pytest.raises(EnumerationTooLarge):
-            cmc_exact(j, px, py, CmcOptions(relation_cap=19))
-        cmc_exact(j, px, py, CmcOptions(relation_cap=20))
+            cmc_exact(j8, px, py)
 
 
 class TestModes:
@@ -319,23 +494,95 @@ class TestStructuralProperties:
             assert engine - oracle <= 5e-3  # coarse two-sided grid
             assert engine <= maximal_correlation(j).value + 1e-8
 
-    def test_determinism_across_workers(self):
+    def test_determinism_across_face_order(self, monkeypatch):
         rng = np.random.default_rng(29)
-        for _ in range(5):
-            j = random_pmf(rng, 3, 4)
-            px, py = total_orders(j)
-            reports = [
-                cmc_exact(j, px, py, CmcOptions(parallel=par, workers=w))
-                for par, w in ((False, None), (True, 1), (True, 2),
-                               (True, 8))
-            ]
-            ref = reports[0]
-            for other in reports[1:]:
+        instances = [random_pmf(rng, 3, 4) for _ in range(5)]
+        refs = [cmc_exact(j, *total_orders(j)) for j in instances]
+        enumerate_faces = engine.distinct_partitions
+
+        def shuffled(p):
+            parts = enumerate_faces(p)
+            rng.shuffle(parts)
+            return parts
+
+        monkeypatch.setattr(engine, "distinct_partitions", shuffled)
+        for j, ref in zip(instances, refs):
+            for _ in range(3):
+                other = cmc_exact(j, *total_orders(j))
                 assert other.value == ref.value
                 assert np.array_equal(other.witness.f, ref.witness.f)
                 assert np.array_equal(other.witness.g, ref.witness.g)
-                assert other.diagnostics["winning_partition_x"] == \
-                    ref.diagnostics["winning_partition_x"]
+                for key in ("winning_partition_x", "winning_partition_y",
+                            "winning_kind", "winning_index",
+                            "winning_orientation", "tie_candidates"):
+                    assert other.diagnostics[key] == ref.diagnostics[key]
+
+    def test_reports_match_filtered_closure(self, monkeypatch):
+        # pruning the cyclic faces never changes a report
+        labels3 = ("0", "1", "2")
+        orders3 = {
+            "total": total_order(labels3),
+            "reversed": reverse(total_order(labels3)),
+            "antichain": antichain(labels3),
+            "vee": poset_from_pairs(labels3, {(0, 1), (0, 2)}),
+            "wedge": poset_from_pairs(labels3, {(0, 2), (1, 2)}),
+            "chain+1": poset_from_pairs(labels3, {(0, 1)}),
+        }
+        labels4 = ("0", "1", "2", "3")
+        orders4 = {
+            "total": total_order(labels4),
+            "reversed": reverse(total_order(labels4)),
+            "diamond": poset_from_pairs(
+                labels4, {(0, 1), (0, 2), (1, 3), (2, 3)}),
+        }
+
+        def instance(kind, px, py):
+            m, n = px.size, py.size
+            if kind == "independent":
+                p = np.outer(rng.dirichlet(np.ones(m)),
+                             rng.dirichlet(np.ones(n)))
+            elif kind == "uniform":
+                p = np.full((m, n), 1.0 / (m * n))
+            elif kind == "tiny":
+                p = rng.dirichlet(np.ones(m * n)).reshape(m, n)
+                p[rng.integers(m), rng.integers(n)] = 1e-10
+            elif kind == "sparse":
+                p = rng.dirichlet(np.ones(m * n)).reshape(m, n)
+                p[p < np.median(p) / 2] = 0.0
+            else:
+                p = rng.dirichlet(np.ones(m * n)).reshape(m, n)
+            return joint_pmf(p / p.sum(), px.labels, py.labels), px, py
+
+        rng = np.random.default_rng(61)
+        cases = []
+        for kind in ("random", "independent", "uniform", "tiny", "sparse"):
+            for px in orders3.values():
+                for ny in ("total", "reversed", "vee"):
+                    cases.append(instance(kind, px, orders3[ny]))
+            for px in orders4.values():
+                cases.append(instance(kind, px, orders3["total"]))
+                cases.append(instance(kind, px, orders4["reversed"]))
+        modes = [CmcOptions(mode=mode) for mode in MODES]
+
+        def run_all():
+            return [cmc_exact(j, px, py, opts)
+                    for j, px, py in cases for opts in modes]
+
+        pruned = run_all()
+        monkeypatch.setattr(engine, "distinct_partitions", closure_partitions)
+        full = run_all()
+        keys = ("winning_partition_x", "winning_partition_y", "winning_kind",
+                "winning_index", "winning_orientation")
+        for a, b in zip(pruned, full):
+            assert a.value == b.value or (math.isnan(a.value)
+                                          and math.isnan(b.value))
+            if a.witness is None:
+                assert b.witness is None
+                continue
+            assert np.array_equal(a.witness.f, b.witness.f)
+            assert np.array_equal(a.witness.g, b.witness.g)
+            assert [a.diagnostics[k] for k in keys] == \
+                [b.diagnostics[k] for k in keys]
 
 
 class TestMgf:
