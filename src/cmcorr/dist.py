@@ -207,7 +207,8 @@ def strip_zero_support(j: JointPmf, px: Poset, py: Poset):
 
     Because the relations are stored transitively closed, comparabilities
     through removed symbols survive the restriction.  Returns the reduced
-    pmf, the two restricted posets, and the kept original indices per side.
+    pmf, the two restricted posets, and the kept original indices per side;
+    when every symbol carries mass, the inputs come back unchanged.
     """
     m, n = j.shape
     if px.size != m or py.size != n:
@@ -218,6 +219,8 @@ def strip_zero_support(j: JointPmf, px: Poset, py: Poset):
         raise DegenerateMarginal(
             "fewer than two symbols carry positive mass on one side"
         )
+    if len(keep_x) == m and len(keep_y) == n:
+        return j, px, py, tuple(keep_x), tuple(keep_y)
 
     def restrict(poset: Poset, keep: list[int]) -> Poset:
         pos = {old: new for new, old in enumerate(keep)}

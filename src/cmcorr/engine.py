@@ -12,12 +12,18 @@ At a monotone optimum every comparable pair that is not tight satisfies
 f(a) < f(b), so the face of tight pairs has an acyclic quotient order.  The
 engine therefore enumerates only faces whose blocks are connected through
 strict pairs and whose quotient is acyclic (on a chain: the 2^(n-1)
-interval partitions), solves the merged spectral problem on each face in
-one serial pass, lifts singular-pair candidates back to the original
-alphabets, and keeps every candidate whose lift is monotone.  Kept
-candidates are feasible by construction, so the reported maximum never
-overshoots the true value.  Instances with more than ``FACE_LIMIT`` faces
-are refused before any spectral work.
+interval partitions), and keeps every singular-pair candidate whose lift
+back to the original alphabets is monotone.  Faces are solved in stacks
+of one face shape (the block counts kx, ky): the merged pmfs come from
+stacked products with one-hot block matrices, one stacked SVD gives every
+residual spectrum of the stack, and the feasibility, monotonicity and
+covariance checks run on the whole stack at once.  A shape with many
+faces is cut into stacks of bounded size, and each stack is reduced to
+the candidates near the best covariance so far before the next one is
+built, so memory stays bounded.  Kept candidates are feasible by
+construction, so the reported maximum never overshoots the true value.
+Instances with more than ``FACE_LIMIT`` faces are refused before any
+spectral work.
 
 Two candidate policies are supported:
 
@@ -36,6 +42,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +53,6 @@ from .dist import (
     ScoredPair,
     marginal_x,
     marginal_y,
-    merge_pmf,
     pair_stats,
     strip_zero_support,
 )
@@ -58,11 +65,11 @@ from .errors import (
     NumericalFailure,
     SOutOfRange,
 )
-from .maxcorr import residual_singular_pairs
+from .maxcorr import residual_spectra
 from .order import (
     BlockPartition,
     Poset,
-    is_monotone,
+    bits,
     partition_from_blocks,
     reverse,
 )
@@ -117,16 +124,6 @@ class Candidate:
         )
 
 
-def _bits(mask: int) -> list[int]:
-    """The indices of the set bits of ``mask``, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def distinct_partitions(p: Poset) -> list[BlockPartition]:
     """The block partitions that can be the face of a monotone optimum.
 
@@ -160,7 +157,7 @@ def distinct_partitions(p: Poset) -> list[BlockPartition]:
 
     def members(mask: int) -> list[int]:
         """The elements of ``mask`` bottom-up, minimal ones first."""
-        return sorted(_bits(mask), key=rank.__getitem__)
+        return sorted(bits(mask), key=rank.__getitem__)
 
     def check(count: int) -> int:
         if count > FACE_LIMIT:
@@ -174,7 +171,7 @@ def distinct_partitions(p: Poset) -> list[BlockPartition]:
     rest, layers = (1 << n) - 1, 0
     while rest:
         check(1 << layers)
-        rest &= ~sum(1 << i for i in _bits(rest) if not below[i] & rest)
+        rest &= ~sum(1 << i for i in bits(rest) if not below[i] & rest)
         layers += 1
 
     def component(mask: int) -> int:
@@ -232,7 +229,7 @@ def distinct_partitions(p: Poset) -> list[BlockPartition]:
 
     def first(rest: int) -> int:
         """A minimal element of ``rest``, as a bit."""
-        return 1 << min(_bits(rest), key=rank.__getitem__)
+        return 1 << min(bits(rest), key=rank.__getitem__)
 
     def count(rest: int) -> int:
         """A count of partitions of ``rest`` that never exceeds the total.
@@ -271,115 +268,250 @@ def distinct_partitions(p: Poset) -> list[BlockPartition]:
         own = fill(faces, comp, lambda rest: rest, partitions)
         check(len(parts) * len(own))
         parts = [a + b for a in parts for b in own]
-    return sorted((partition_from_blocks(map(_bits, part), n)
+    return sorted((partition_from_blocks(map(bits, part), n)
                    for part in parts), key=lambda q: q.blocks)
 
 
-def _quotient_scores(p: Poset, part: BlockPartition) -> np.ndarray:
-    """A deterministic non-constant monotone block function.
+def _quotient_scores(lower: np.ndarray, upper: np.ndarray,
+                     blocks: int) -> np.ndarray:
+    """A deterministic non-constant monotone block function per partition.
 
-    Uses longest-path depth over the cross-block order edges.  With no
-    cross-block edges every block-constant function is monotone, so the
-    indicator of the first block serves.  The quotient of every enumerated
-    face is acyclic, so a longest path has fewer than ``nb`` edges and
-    ``nb - 1`` relaxation sweeps reach it.
+    ``lower`` and ``upper`` (A, E) hold the blocks of the pair ends in each
+    of A partitions with ``blocks`` blocks.  Uses longest-path depth over
+    the cross-block order edges.  With no cross-block edges every
+    block-constant function is monotone, so the indicator of the first
+    block serves.  The quotient of every enumerated face is acyclic, so a
+    longest path has fewer than ``blocks`` edges and ``blocks - 1``
+    relaxation sweeps reach it; depths are integers, so they are exact.
     """
-    nb = len(part.blocks)
-    edges = sorted({
-        (part.block_of[i], part.block_of[k])
-        for i, k in p.strict_pairs
-        if part.block_of[i] != part.block_of[k]
-    })
-    if not edges:
-        out = np.zeros(nb)
-        out[0] = 1.0
-        return out
-    depth = np.zeros(nb)
-    for _ in range(nb - 1):
-        changed = False
-        for a, b in edges:
-            if depth[b] < depth[a] + 1.0:
-                depth[b] = depth[a] + 1.0
-                changed = True
-        if not changed:
+    cross = lower != upper
+    # the cross-block edges, grouped by partition and target block
+    edges = np.sort((np.nonzero(cross)[0] * blocks + upper[cross]) * blocks
+                    + lower[cross])
+    targets, sources = np.divmod(edges, blocks)  # targets index depth.flat
+    rows = targets // blocks
+    starts = np.flatnonzero(targets[1:] != targets[:-1]) + 1
+    starts = np.concatenate(([0], starts)) if edges.size else starts
+    depth = np.zeros((len(cross), blocks))
+    for _ in range(blocks - 1 if edges.size else 0):
+        grown = np.zeros_like(depth)
+        grown.flat[targets[starts]] = np.maximum.reduceat(
+            depth[rows, sources] + 1.0, starts)
+        if (grown == depth).all():
             break
+        depth = grown
+    depth[~cross.any(axis=1), 0] = 1.0
     return depth
 
 
-def _feasible(weights: np.ndarray, vec: np.ndarray) -> bool:
-    mean = float(weights @ vec)
-    var = float(weights @ (vec * vec)) - mean * mean
-    return abs(mean) <= _FEASIBILITY_TOL and abs(var - 1.0) <= _FEASIBILITY_TOL
+# About how many numbers one stacked array of a face solve may hold; a
+# larger face group is solved as several stacks, so peak memory is bounded.
+_STACK_ENTRIES = 2 ** 18
 
 
-def _face_candidates(js: JointPmf, pxs: Poset, pys: Poset,
-                     bx: BlockPartition, by: BlockPartition,
-                     opts: CmcOptions):
-    """Candidates from one partition pair: (kept, checked, degenerate)."""
-    kept: list[Candidate] = []
-    if len(bx.blocks) < 2 or len(by.blocks) < 2:
-        return kept, 0, 0
-    merged = merge_pmf(js, bx, by)
-    pmx = marginal_x(merged)
-    pmy = marginal_y(merged)
-    values, left, right = residual_singular_pairs(merged)
-    degenerate = int(
-        (np.abs(np.diff(values)) <= opts.tie_tol).sum()
-    ) if values.size > 1 else 0
+@dataclass(frozen=True)
+class _Tables:
+    """The partitions of one side that have k blocks, stacked."""
 
-    bx_idx = np.asarray(bx.block_of)
-    by_idx = np.asarray(by.block_of)
+    parts: list[BlockPartition]
+    blocks: int           # k
+    block_of: np.ndarray  # (A, size) block of each symbol
+    pairs: np.ndarray     # (2E,) lower ends of the strict pairs, then upper
+    scores: np.ndarray | None  # (A, k) quotient depths, extended mode only
+
+    def rows(self, start: int, stop: int) -> _Tables:
+        """The tables of the partitions ``parts[start:stop]``; the whole
+        range is this object itself, so its cached arrays are reused."""
+        if start == 0 and stop >= len(self.parts):
+            return self
+        return _Tables(self.parts[start:stop], self.blocks,
+                       self.block_of[start:stop], self.pairs,
+                       None if self.scores is None
+                       else self.scores[start:stop])
+
+    @cached_property
+    def onehot(self) -> np.ndarray:
+        """(A, k, size) block membership."""
+        labels = np.arange(self.blocks)[:, None]
+        return (self.block_of[:, None, :] == labels).astype(float)
+
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """(A, k, 2E) one-hot blocks of the pair ends, lower ends first."""
+        return self.onehot[:, :, self.pairs]
+
+
+def _side_tables(p: Poset, parts: list[BlockPartition],
+                 extended: bool) -> list[_Tables]:
+    """The tables of the partitions with at least two blocks, one per block
+    count; a face with a single block on either side has no candidates."""
+    by_count: dict[int, list[BlockPartition]] = {}
+    for part in parts:
+        if len(part.blocks) >= 2:
+            by_count.setdefault(len(part.blocks), []).append(part)
+    pairs = np.array(p.pairs_sorted(), dtype=np.intp).reshape(-1, 2).T
+    lower, upper = pairs
+    step = max(1, _STACK_ENTRIES // max(1, len(lower)))
+    tables = []
+    for k, group in sorted(by_count.items()):
+        block_of = np.array([q.block_of for q in group], dtype=np.intp)
+        scores = np.concatenate([
+            _quotient_scores(rows[:, lower], rows[:, upper], k)
+            for rows in (block_of[a:a + step]
+                         for a in range(0, len(group), step))
+        ]) if extended else None
+        tables.append(_Tables(group, k, block_of, pairs.ravel(), scores))
+    return tables
+
+
+def _stacks(sides_x: list[_Tables], sides_y: list[_Tables]):
+    """Every face, as stacks ``(tx, ty)`` of one face shape (kx, ky) in
+    canonical order, each small enough that no array of its solve holds
+    much more than ``_STACK_ENTRIES`` numbers."""
+    for tx in sides_x:
+        for ty in sides_y:
+            kx, nx, ex = tx.blocks, tx.block_of.shape[1], len(tx.pairs)
+            ky, ny, ey = ty.blocks, ty.block_of.shape[1], len(ty.pairs)
+            # numbers per face (merged pmf, block functions and their
+            # values at the pair ends), per X and per Y partition
+            per_face = kx * ky + min(kx, ky) * (kx + ky + ex + ey)
+            per_x = kx * (nx + ny + ex)
+            per_y = ky * (ny + ey)
+            step_y = max(1, min(len(ty.parts), _STACK_ENTRIES // per_face,
+                                _STACK_ENTRIES // per_y))
+            step_x = max(1, min(_STACK_ENTRIES // (per_face * step_y),
+                                _STACK_ENTRIES // per_x))
+            for a in range(0, len(tx.parts), step_x):
+                sub_x = tx.rows(a, a + step_x)
+                for b in range(0, len(ty.parts), step_y):
+                    yield sub_x, ty.rows(b, b + step_y)
+
+
+def _monotone(vecs: np.ndarray, ends: np.ndarray, tol: float):
+    """:func:`is_monotone` of the lift of each block function in ``vecs``
+    and of its negation: no strict pair has f(lower) > f(upper) + tol.
+
+    The one-hot product picks the values at the pair ends exactly, and a
+    pair inside one block compares a value with itself, which passes.  For
+    the negation, -lo > -hi + tol is tested as lo < hi - tol: rounding is
+    symmetric, so the two agree bit for bit.
+    """
+    picked = vecs @ ends
+    half = ends.shape[-1] // 2
+    lo, hi = picked[..., :half], picked[..., half:]
+    return ~(lo > hi + tol).any(axis=-1), ~(lo < hi - tol).any(axis=-1)
+
+
+def _standardized(weights: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Rows of ``vecs[..., t, k]`` with zero mean and unit variance within
+    1e-8 under ``weights[..., k, 1]``."""
+    mean = vecs @ weights
+    var = (vecs * vecs) @ weights - mean * mean
+    return ((np.abs(mean) <= _FEASIBILITY_TOL) &
+            (np.abs(var - 1.0) <= _FEASIBILITY_TOL))[..., 0]
+
+
+def _normalize(weights: np.ndarray, vecs: np.ndarray):
+    """Each row of ``vecs`` centred and scaled to unit variance under
+    ``weights``, and where that is possible (variance above 1e-24)."""
+    centered = vecs - vecs @ weights
+    var = (centered * centered) @ weights
+    ok = var > 1e-24
+    return centered / np.sqrt(np.where(ok, var, 1.0)), ok[..., 0]
+
+
+def _cov(merged: np.ndarray, wx: np.ndarray, wy: np.ndarray,
+         f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Covariance of each row pair of ``f`` and ``g`` under its face's pmf
+    ``merged`` with marginals ``wx`` and ``wy``."""
+    cross = (f * (g @ np.swapaxes(merged, -1, -2))).sum(axis=-1)
+    return cross - ((f @ wx) * (g @ wy))[..., 0]
+
+
+class _Kept(NamedTuple):
+    """Candidates of one kind and orientation across a stack of faces."""
+
+    hit: np.ndarray       # (Ax, Ay, T) kept
+    flip: np.ndarray      # (Ax, Ay, T) kept as the global flip of the pair
+    cov: np.ndarray       # (Ax, Ay, T) covariance
+    f: np.ndarray         # (Ax, Ay, T, kx) block functions
+    g: np.ndarray         # (Ax, Ay, T, ky)
+    tx: _Tables
+    ty: _Tables
+    ties: np.ndarray      # (Ax, Ay) tied residual gaps per face
+    kind: str
+    orientation: int
+
+    def candidate(self, a: int, b: int, t: int) -> tuple[Candidate, bool]:
+        """The candidate in cell (a, b, t), lifted to the support
+        alphabets, and whether its face's residual spectrum has a tie."""
+        bx, by = self.tx.parts[a], self.ty.parts[b]
+        s = -1.0 if self.flip[a, b, t] else 1.0
+        pair = ScoredPair(
+            f=s * self.f[a, b, t][np.asarray(bx.block_of)],
+            g=s * self.orientation * self.g[a, b, t][np.asarray(by.block_of)])
+        return Candidate(
+            partition_x=bx, partition_y=by, kind=self.kind,
+            index=int(t) + 2 if self.kind == "svd" else 0,
+            orientation=self.orientation, pair=pair,
+            cov=float(self.cov[a, b, t]),
+        ), bool(self.ties[a, b])
+
+
+def _solve_stack(js: JointPmf, tx: _Tables, ty: _Tables, opts: CmcOptions):
+    """Every face of one stack (one shape kx, ky) at once: stacked merge,
+    one stacked SVD, then feasibility, monotone and structural checks.
+
+    Returns ``(kept, checked, degenerate)`` with ``kept`` a list of
+    :class:`_Kept`.
+    """
+    extended = opts.mode == "extended"
+    tol = opts.monotone_tol
+    # (Ax, Ay, kx, ky): the merged pmfs, renormalized by their merged total
+    merged = (tx.onehot @ js.p)[:, None] @ \
+        np.swapaxes(ty.onehot, -1, -2)[None]
+    merged /= merged.sum(axis=(-2, -1), keepdims=True)
+    values, left, right = residual_spectra(merged)
+    ties = (np.abs(np.diff(values, axis=-1)) <= opts.tie_tol).sum(axis=-1)
+    wx = merged.sum(axis=-1)[..., None]  # (Ax, Ay, kx, 1) marginals
+    wy = merged.sum(axis=-2)[..., None]
+    if not extended:
+        left, right = left[..., :1, :], right[..., :1, :]
+    # (Ax, Ay, T, k): the block functions of singular index t + 2
+    f = left / np.swapaxes(np.sqrt(wx), -1, -2)
+    g = right / np.swapaxes(np.sqrt(wy), -1, -2)
+    feasible = _standardized(wx, f) & _standardized(wy, g)
+    svd = slice(0, f.shape[2])
+    if extended:
+        # the structural fallback rides along as one more row
+        fn, ok_f = _normalize(wx, tx.scores[:, None, None])
+        gn, ok_g = _normalize(wy, ty.scores[None, :, None])
+        f = np.concatenate([f, fn], axis=2)
+        g = np.concatenate([g, gn], axis=2)
+    up_f, down_f = _monotone(f, tx.ends[:, None], tol)
+    up_g, down_g = _monotone(g, ty.ends[None], tol)
+    cov = _cov(merged, wx, wy, f, g)
+    kept = []
     checked = 0
-    indices = range(len(values)) if opts.mode == "extended" else range(
-        min(1, len(values)))
-    orientations = (1, -1) if opts.mode == "extended" else (1,)
-
-    for t in indices:
-        fblk = left[t] / np.sqrt(pmx)
-        gblk = right[t] / np.sqrt(pmy)
-        if not (_feasible(pmx, fblk) and _feasible(pmy, gblk)):
-            continue  # degenerate zero-value direction, not a valid pair
-        for orientation in orientations:
-            gsig = gblk if orientation > 0 else -gblk
-            for flip in (1.0, -1.0):
-                fl = flip * fblk[bx_idx]
-                gl = flip * gsig[by_idx]
-                checked += 1
-                if is_monotone(fl, pxs, opts.monotone_tol) and \
-                        is_monotone(gl, pys, opts.monotone_tol):
-                    pair = ScoredPair(f=fl, g=gl)
-                    kept.append(Candidate(
-                        partition_x=bx, partition_y=by, kind="svd",
-                        index=t + 2, orientation=orientation,
-                        pair=pair, cov=pair_stats(js, pair).cov,
-                    ))
-                    break  # the global flip has the same covariance
-
-    if opts.mode == "extended":
-        fn = _normalize(pmx, _quotient_scores(pxs, bx))
-        gn = _normalize(pmy, _quotient_scores(pys, by))
-        if fn is not None and gn is not None:
-            fl = fn[bx_idx]
-            gl = gn[by_idx]
-            checked += 1
-            if is_monotone(fl, pxs, opts.monotone_tol) and \
-                    is_monotone(gl, pys, opts.monotone_tol):
-                pair = ScoredPair(f=fl, g=gl)
-                kept.append(Candidate(
-                    partition_x=bx, partition_y=by, kind="structural",
-                    index=0, orientation=1,
-                    pair=pair, cov=pair_stats(js, pair).cov,
-                ))
-    return kept, checked, degenerate
-
-
-def _normalize(weights: np.ndarray, vec: np.ndarray) -> np.ndarray | None:
-    mean = float(weights @ vec)
-    centered = vec - mean
-    var = float(weights @ (centered * centered))
-    if var <= 1e-24:
-        return None
-    return centered / math.sqrt(var)
+    svd_f, svd_g = f[..., svd, :], g[..., svd, :]
+    for orientation in (1, -1) if extended else (1,):
+        # the pair is tested first, then its global flip, which has the
+        # same covariance
+        first = feasible & up_f[..., svd] & up_g[..., svd]
+        flip = feasible & ~first
+        checked += np.count_nonzero(feasible) + np.count_nonzero(flip)
+        kept.append(_Kept(first | (flip & down_f[..., svd] & down_g[..., svd]),
+                          flip, orientation * cov[..., svd], svd_f, svd_g,
+                          tx, ty, ties, "svd", orientation))
+        up_g, down_g = down_g, up_g
+    if extended:
+        ok = ok_f & ok_g
+        checked += np.count_nonzero(ok)
+        last = slice(svd.stop, None)
+        kept.append(_Kept(ok & up_f[..., last] & up_g[..., last],
+                          np.zeros_like(ok), cov[..., last], f[..., last, :],
+                          g[..., last, :], tx, ty, ties, "structural", 1))
+    return kept, checked, int(ties.sum())
 
 
 def _extend_monotone(sub_values: np.ndarray, keep: tuple[int, ...],
@@ -422,27 +554,43 @@ def cmc_exact(j: JointPmf, px: Poset, py: Poset,
     """
     start = time.perf_counter()
     js, pxs, pys, keep_x, keep_y = strip_zero_support(j, px, py)
-    parts_x = distinct_partitions(pxs)
-    parts_y = distinct_partitions(pys)
+    # canonical face order, so a face's place in a stack never depends on
+    # the order the enumerator returned
+    parts_x = sorted(distinct_partitions(pxs), key=lambda q: q.blocks)
+    parts_y = sorted(distinct_partitions(pys), key=lambda q: q.blocks)
     n_faces = len(parts_x) * len(parts_y)
     if n_faces > FACE_LIMIT:
         raise EnumerationTooLarge(
             f"{len(parts_x)} x {len(parts_y)} = {n_faces} faces exceed the "
             f"limit {FACE_LIMIT}"
         )
-    results = [_face_candidates(js, pxs, pys, bx, by, opts)
-               for bx in parts_x for by in parts_y]
-
-    candidates = [c for kept, _, _ in results for c in kept]
+    extended = opts.mode == "extended"
+    # each stack is reduced before the next is solved: only the candidates
+    # within tie_tol of the best covariance so far are kept
+    best_cov = -math.inf
+    near: list[tuple[Candidate, bool]] = []
+    checked = n_kept = degenerate = 0
+    for tx, ty in _stacks(_side_tables(pxs, parts_x, extended),
+                          _side_tables(pys, parts_y, extended)):
+        kept, n, d = _solve_stack(js, tx, ty, opts)
+        checked += n
+        degenerate += d
+        for k in kept:
+            if k.hit.any():
+                n_kept += np.count_nonzero(k.hit)
+                best_cov = max(best_cov, float(k.cov[k.hit].max()))
+        near = [c for c in near if c[0].cov >= best_cov - opts.tie_tol]
+        near += [k.candidate(*cell) for k in kept for cell in zip(*np.nonzero(
+            k.hit & (k.cov >= best_cov - opts.tie_tol)))]
     diagnostics = {
         "mode": opts.mode,
         "partitions_enumerated": n_faces,
-        "candidates_checked": sum(n for _, n, _ in results),
-        "candidates_kept": len(candidates),
-        "degenerate_spectra": sum(d for _, _, d in results),
+        "candidates_checked": int(checked),
+        "candidates_kept": int(n_kept),
+        "degenerate_spectra": degenerate,
     }
 
-    if not candidates:
+    if not n_kept:
         diagnostics["no_witness"] = True
         diagnostics["explanation"] = (
             "no singular-pair candidate was monotone on any merge subset; "
@@ -453,11 +601,10 @@ def cmc_exact(j: JointPmf, px: Poset, py: Poset,
         return CorrelationReport(measure="cmc", value=float("nan"),
                                  witness=None, diagnostics=diagnostics)
 
-    best_cov = max(c.cov for c in candidates)
-    near = [c for c in candidates if c.cov >= best_cov - opts.tie_tol]
-    best = min(near, key=Candidate.sort_key)
+    best, tied = min(near, key=lambda c: c[0].sort_key())
     diagnostics["tie_candidates"] = len(near)
-    value = _clip_value(best.cov)
+    # the report's value is the winner's covariance as pair_stats gives it
+    value = _clip_value(pair_stats(js, best.pair).cov)
 
     witness = ScoredPair(
         f=_extend_monotone(best.pair.f, keep_x, px),
@@ -468,6 +615,7 @@ def cmc_exact(j: JointPmf, px: Poset, py: Poset,
     diagnostics["winning_kind"] = best.kind
     diagnostics["winning_index"] = best.index
     diagnostics["winning_orientation"] = best.orientation
+    diagnostics["winning_face_degenerate"] = tied
     diagnostics["runtime_seconds"] = time.perf_counter() - start
     return CorrelationReport(measure="cmc", value=value, witness=witness,
                              diagnostics=diagnostics)

@@ -53,23 +53,50 @@ class SvdBundle:
             self.right_vectors
 
 
-def witsenhausen_matrix(j: JointPmf) -> np.ndarray:
-    """p(x, y) / sqrt(p(x) p(y)); marginals must be strictly positive."""
-    px = marginal_x(j)
-    py = marginal_y(j)
+def _normalized(p: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     if (px <= 0.0).any() or (py <= 0.0).any():
         raise ZeroMarginal("strip zero-mass symbols before normalizing")
-    return j.p / np.sqrt(np.outer(px, py))
+    return p / np.sqrt(px[..., :, None] * py[..., None, :])
+
+
+def witsenhausen_matrix(j: JointPmf) -> np.ndarray:
+    """p(x, y) / sqrt(p(x) p(y)); marginals must be strictly positive."""
+    return _normalized(j.p, marginal_x(j), marginal_y(j))
 
 
 def _fix_signs(left: np.ndarray, right: np.ndarray) -> None:
     """First coordinate of each left vector that exceeds 1e-12 is made
-    positive, flipping the matched right vector along with it."""
-    for i in range(left.shape[0]):
-        nz = np.nonzero(np.abs(left[i]) > 1e-12)[0]
-        if nz.size and left[i, nz[0]] < 0:
-            left[i] *= -1.0
-            right[i] *= -1.0
+    positive, flipping the matched right vector along with it.
+
+    The vectors are the rows of the last two axes, so a stack of
+    decompositions is fixed in one pass.
+    """
+    # the first coordinate beyond 1e-12 is negative exactly when it is
+    # also the first one below -1e-12
+    neg = left < -1e-12
+    flip = neg.any(axis=-1) & \
+        (neg.argmax(axis=-1) == (np.abs(left) > 1e-12).argmax(axis=-1))
+    sign = np.where(flip, -1.0, 1.0)[..., None]
+    left *= sign
+    right *= sign
+
+
+def _svd(arr: np.ndarray):
+    """Thin SVD of every matrix in ``arr[..., m, n]``, signs fixed.
+
+    Returns ``(values, left, right)`` with the singular vectors as rows.
+    """
+    if not np.isfinite(arr).all():
+        raise NonFiniteValue("matrix entries must be finite")
+    if arr.shape[-2] * arr.shape[-1] > _SIZE_LIMIT:
+        raise SizeTooLarge(f"matrix has more than {_SIZE_LIMIT} entries")
+    try:
+        u, s, vt = np.linalg.svd(arr, full_matrices=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+    left = np.ascontiguousarray(np.swapaxes(u, -1, -2))
+    _fix_signs(left, vt)
+    return s, left, vt
 
 
 def decompose(m) -> SvdBundle:
@@ -77,19 +104,25 @@ def decompose(m) -> SvdBundle:
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2:
         raise NonFiniteValue("input must be a matrix")
-    if not np.isfinite(arr).all():
-        raise NonFiniteValue("matrix entries must be finite")
-    if arr.size > _SIZE_LIMIT:
-        raise SizeTooLarge(f"matrix has more than {_SIZE_LIMIT} entries")
-    try:
-        u, s, vt = np.linalg.svd(arr, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-    left = np.ascontiguousarray(u.T)
-    right = np.ascontiguousarray(vt)
-    _fix_signs(left, right)
+    s, left, right = _svd(arr)
     return SvdBundle(singular_values=s, left_vectors=left,
                      right_vectors=right)
+
+
+def residual_spectra(p: np.ndarray):
+    """:func:`residual_singular_pairs` for a stack of pmf matrices.
+
+    ``p[..., m, n]`` holds normalized pmfs with positive marginals, all
+    decomposed by one stacked SVD.  Returns ``(values, left, right)`` of
+    shapes ``(..., r)``, ``(..., r, m)`` and ``(..., r, n)``, where
+    r = min(m, n) - 1.
+    """
+    px = p.sum(axis=-1)
+    py = p.sum(axis=-2)
+    top = np.sqrt(px)[..., :, None] * np.sqrt(py)[..., None, :]
+    values, left, right = _svd(_normalized(p, px, py) - top)
+    keep = min(p.shape[-2:]) - 1
+    return values[..., :keep], left[..., :keep, :], right[..., :keep, :]
 
 
 def residual_singular_pairs(j: JointPmf):
@@ -101,15 +134,7 @@ def residual_singular_pairs(j: JointPmf):
     positive value is exactly orthogonal to the top pair, which is what
     makes the rescaled witnesses zero-mean.
     """
-    mat = witsenhausen_matrix(j)
-    u1 = np.sqrt(marginal_x(j))
-    w1 = np.sqrt(marginal_y(j))
-    residual = mat - np.outer(u1, w1)
-    bundle = decompose(residual)
-    keep = min(j.shape) - 1
-    return (bundle.singular_values[:keep],
-            bundle.left_vectors[:keep],
-            bundle.right_vectors[:keep])
+    return residual_spectra(j.p)
 
 
 def _strip_support(j: JointPmf):

@@ -54,7 +54,13 @@ class Poset:
             mat[i, j] = True
         if (mat & mat.T).any():
             raise CycleDetected("relation contains a two-cycle")
-        if ((mat @ mat) & ~mat).any():
+        # closed: everything above j is above i for each pair i < j; with
+        # the rows as bitmasks that is one test per pair, and a pair whose
+        # upper end has nothing above it is skipped
+        above = [int.from_bytes(row.tobytes(), "little")
+                 for row in np.packbits(mat, axis=1, bitorder="little")]
+        if any(above[j] & ~above[i] for i, j in self.strict_pairs
+               if above[j]):
             raise InputError("relation is not transitively closed")
 
     def pairs_sorted(self) -> list[tuple[int, int]]:
@@ -131,19 +137,33 @@ def partition_from_blocks(raw_blocks, size: int) -> BlockPartition:
     return BlockPartition(blocks=blocks, block_of=tuple(block_of))
 
 
+def bits(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _close_transitively(size: int, pairs) -> frozenset[tuple[int, int]]:
-    mat = np.zeros((size, size), dtype=bool)
+    above = [0] * size  # bitmask of the elements above each one
     for i, j in pairs:
         if not (0 <= i < size and 0 <= j < size):
             raise InputError(f"pair ({i}, {j}) out of range for size {size}")
-        mat[i, j] = True
-    for k in range(size):
-        mat |= np.outer(mat[:, k], mat[k, :])
-    if mat.diagonal().any():
+        above[i] |= 1 << int(j)
+    # Warshall's algorithm on the bitmasks; an element with nothing above
+    # it passes nothing on and gains nothing, so only the others are visited
+    rows = [i for i in range(size) if above[i]]
+    for k in rows:
+        bit, row = 1 << k, above[k]
+        for i in rows:
+            if above[i] & bit:
+                above[i] |= row
+    if any(above[i] >> i & 1 for i in rows):
         raise CycleDetected("transitive closure produced a cycle")
-    return frozenset(
-        (int(i), int(j)) for i, j in zip(*np.nonzero(mat))
-    )
+    return frozenset((i, j) for i in rows for j in bits(above[i]))
 
 
 def poset_from_pairs(labels, pairs=(), kind: str = "explicit") -> Poset:

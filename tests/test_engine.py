@@ -6,10 +6,21 @@ import pytest
 
 import cmcorr.engine as engine
 from cmcorr.classic import pearson
-from cmcorr.dist import check_report, joint_pmf, pair_stats
+from cmcorr.dist import (
+    CorrelationReport,
+    ScoredPair,
+    check_report,
+    joint_pmf,
+    marginal_x,
+    marginal_y,
+    merge_pmf,
+    pair_stats,
+    strip_zero_support,
+)
 from cmcorr.engine import (
     FACE_LIMIT,
     MODES,
+    Candidate,
     CmcOptions,
     cmc_exact,
     cmc_plus,
@@ -26,7 +37,7 @@ from cmcorr.errors import (
     MissingValues,
     SOutOfRange,
 )
-from cmcorr.maxcorr import maximal_correlation
+from cmcorr.maxcorr import maximal_correlation, residual_singular_pairs
 from cmcorr.oracle import OracleConfig, grid_oracle
 from cmcorr.order import (
     antichain,
@@ -151,6 +162,181 @@ def discordant_uniform_pair():
     return j, px, py
 
 
+def filtered_closure_cases():
+    """Seeded instances over total, reversed, antichain, vee, wedge,
+    chain+1 and diamond orders, with random, independent, uniform,
+    1e-10-mass and sparse pmfs."""
+    labels3 = ("0", "1", "2")
+    orders3 = {
+        "total": total_order(labels3),
+        "reversed": reverse(total_order(labels3)),
+        "antichain": antichain(labels3),
+        "vee": poset_from_pairs(labels3, {(0, 1), (0, 2)}),
+        "wedge": poset_from_pairs(labels3, {(0, 2), (1, 2)}),
+        "chain+1": poset_from_pairs(labels3, {(0, 1)}),
+    }
+    labels4 = ("0", "1", "2", "3")
+    orders4 = {
+        "total": total_order(labels4),
+        "reversed": reverse(total_order(labels4)),
+        "diamond": poset_from_pairs(
+            labels4, {(0, 1), (0, 2), (1, 3), (2, 3)}),
+    }
+
+    def instance(kind, px, py):
+        m, n = px.size, py.size
+        if kind == "independent":
+            p = np.outer(rng.dirichlet(np.ones(m)),
+                         rng.dirichlet(np.ones(n)))
+        elif kind == "uniform":
+            p = np.full((m, n), 1.0 / (m * n))
+        elif kind == "tiny":
+            p = rng.dirichlet(np.ones(m * n)).reshape(m, n)
+            p[rng.integers(m), rng.integers(n)] = 1e-10
+        elif kind == "sparse":
+            p = rng.dirichlet(np.ones(m * n)).reshape(m, n)
+            p[p < np.median(p) / 2] = 0.0
+        else:
+            p = rng.dirichlet(np.ones(m * n)).reshape(m, n)
+        return joint_pmf(p / p.sum(), px.labels, py.labels), px, py
+
+    rng = np.random.default_rng(61)
+    cases = []
+    for kind in ("random", "independent", "uniform", "tiny", "sparse"):
+        for px in orders3.values():
+            for ny in ("total", "reversed", "vee"):
+                cases.append(instance(kind, px, orders3[ny]))
+        for px in orders4.values():
+            cases.append(instance(kind, px, orders3["total"]))
+            cases.append(instance(kind, px, orders4["reversed"]))
+    return cases
+
+
+def reference_feasible(weights, vec):
+    mean = float(weights @ vec)
+    var = float(weights @ (vec * vec)) - mean * mean
+    return abs(mean) <= 1e-8 and abs(var - 1.0) <= 1e-8
+
+
+def reference_normalize(weights, vec):
+    mean = float(weights @ vec)
+    centered = vec - mean
+    var = float(weights @ (centered * centered))
+    if var <= 1e-24:
+        return None
+    return centered / math.sqrt(var)
+
+
+def reference_quotient_scores(p, part):
+    """The per-partition structural scores the stacked ones replaced."""
+    nb = len(part.blocks)
+    edges = sorted({
+        (part.block_of[i], part.block_of[k])
+        for i, k in p.strict_pairs
+        if part.block_of[i] != part.block_of[k]
+    })
+    if not edges:
+        out = np.zeros(nb)
+        out[0] = 1.0
+        return out
+    depth = np.zeros(nb)
+    for _ in range(nb - 1):
+        changed = False
+        for a, b in edges:
+            if depth[b] < depth[a] + 1.0:
+                depth[b] = depth[a] + 1.0
+                changed = True
+        if not changed:
+            break
+    return depth
+
+
+def reference_face_candidates(js, pxs, pys, bx, by, opts):
+    """The per-face solver the batched one replaced: one merged JointPmf,
+    one SVD and Python monotone checks per face."""
+    kept = []
+    if len(bx.blocks) < 2 or len(by.blocks) < 2:
+        return kept, 0, 0
+    merged = merge_pmf(js, bx, by)
+    pmx = marginal_x(merged)
+    pmy = marginal_y(merged)
+    values, left, right = residual_singular_pairs(merged)
+    degenerate = int(
+        (np.abs(np.diff(values)) <= opts.tie_tol).sum()
+    ) if values.size > 1 else 0
+    bx_idx = np.asarray(bx.block_of)
+    by_idx = np.asarray(by.block_of)
+    checked = 0
+    indices = range(len(values)) if opts.mode == "extended" else range(
+        min(1, len(values)))
+    orientations = (1, -1) if opts.mode == "extended" else (1,)
+    for t in indices:
+        fblk = left[t] / np.sqrt(pmx)
+        gblk = right[t] / np.sqrt(pmy)
+        if not (reference_feasible(pmx, fblk)
+                and reference_feasible(pmy, gblk)):
+            continue
+        for orientation in orientations:
+            gsig = gblk if orientation > 0 else -gblk
+            for flip in (1.0, -1.0):
+                fl = flip * fblk[bx_idx]
+                gl = flip * gsig[by_idx]
+                checked += 1
+                if is_monotone(fl, pxs, opts.monotone_tol) and \
+                        is_monotone(gl, pys, opts.monotone_tol):
+                    pair = ScoredPair(f=fl, g=gl)
+                    kept.append(Candidate(
+                        partition_x=bx, partition_y=by, kind="svd",
+                        index=t + 2, orientation=orientation,
+                        pair=pair, cov=pair_stats(js, pair).cov))
+                    break
+    if opts.mode == "extended":
+        fn = reference_normalize(pmx, reference_quotient_scores(pxs, bx))
+        gn = reference_normalize(pmy, reference_quotient_scores(pys, by))
+        if fn is not None and gn is not None:
+            fl = fn[bx_idx]
+            gl = gn[by_idx]
+            checked += 1
+            if is_monotone(fl, pxs, opts.monotone_tol) and \
+                    is_monotone(gl, pys, opts.monotone_tol):
+                pair = ScoredPair(f=fl, g=gl)
+                kept.append(Candidate(
+                    partition_x=bx, partition_y=by, kind="structural",
+                    index=0, orientation=1,
+                    pair=pair, cov=pair_stats(js, pair).cov))
+    return kept, checked, degenerate
+
+
+def reference_cmc(j, px, py, opts):
+    """``cmc_exact`` with the per-face reference solver and its reduction."""
+    js, pxs, pys, keep_x, keep_y = strip_zero_support(j, px, py)
+    results = [reference_face_candidates(js, pxs, pys, bx, by, opts)
+               for bx in distinct_partitions(pxs)
+               for by in distinct_partitions(pys)]
+    candidates = [c for kept, _, _ in results for c in kept]
+    diagnostics = {
+        "candidates_checked": sum(n for _, n, _ in results),
+        "candidates_kept": len(candidates),
+        "degenerate_spectra": sum(d for _, _, d in results),
+    }
+    if not candidates:
+        return CorrelationReport(measure="cmc", value=float("nan"),
+                                 diagnostics=diagnostics)
+    best_cov = max(c.cov for c in candidates)
+    near = [c for c in candidates if c.cov >= best_cov - opts.tie_tol]
+    best = min(near, key=Candidate.sort_key)
+    diagnostics.update(
+        tie_candidates=len(near),
+        winning_partition_x=best.partition_x.blocks,
+        winning_partition_y=best.partition_y.blocks,
+        winning_kind=best.kind, winning_index=best.index,
+        winning_orientation=best.orientation)
+    witness = ScoredPair(f=engine._extend_monotone(best.pair.f, keep_x, px),
+                         g=engine._extend_monotone(best.pair.g, keep_y, py))
+    return CorrelationReport(measure="cmc", value=engine._clip_value(best.cov),
+                             witness=witness, diagnostics=diagnostics)
+
+
 class TestOptions:
     def test_mode_validated(self):
         with pytest.raises(InputError):
@@ -191,6 +377,20 @@ class TestDistinctPartitions:
         for part in distinct_partitions(p):
             assert quotient_is_acyclic(p, part)
             assert blocks_are_connected(p, part)
+
+    @pytest.mark.parametrize("entries", [None, 7])
+    def test_stacked_quotient_scores_match_reference(self, monkeypatch,
+                                                     entries):
+        # the depths are integers, so the stacked relaxation must equal
+        # the per-partition loop exactly, also when cut into row chunks
+        if entries is not None:
+            monkeypatch.setattr(engine, "_STACK_ENTRIES", entries)
+        for p in reference_posets().values():
+            for table in engine._side_tables(p, distinct_partitions(p),
+                                             True):
+                for part, scores in zip(table.parts, table.scores):
+                    assert np.array_equal(
+                        scores, reference_quotient_scores(p, part))
 
     def test_counts(self):
         for n in range(1, 9):
@@ -296,7 +496,7 @@ class TestCmcExact:
         def merge_past_guard(*args, **kwargs):
             raise AssertionError("merge ran past the face guard")
 
-        monkeypatch.setattr(engine, "merge_pmf", merge_past_guard)
+        monkeypatch.setattr(engine, "_solve_stack", merge_past_guard)
         j8 = joint_pmf(np.full((8, 8), 1 / 64))
         px = hypercube(3, j8.x_labels)
         py = hypercube(3, j8.y_labels)  # 404 x 404 faces
@@ -519,49 +719,7 @@ class TestStructuralProperties:
 
     def test_reports_match_filtered_closure(self, monkeypatch):
         # pruning the cyclic faces never changes a report
-        labels3 = ("0", "1", "2")
-        orders3 = {
-            "total": total_order(labels3),
-            "reversed": reverse(total_order(labels3)),
-            "antichain": antichain(labels3),
-            "vee": poset_from_pairs(labels3, {(0, 1), (0, 2)}),
-            "wedge": poset_from_pairs(labels3, {(0, 2), (1, 2)}),
-            "chain+1": poset_from_pairs(labels3, {(0, 1)}),
-        }
-        labels4 = ("0", "1", "2", "3")
-        orders4 = {
-            "total": total_order(labels4),
-            "reversed": reverse(total_order(labels4)),
-            "diamond": poset_from_pairs(
-                labels4, {(0, 1), (0, 2), (1, 3), (2, 3)}),
-        }
-
-        def instance(kind, px, py):
-            m, n = px.size, py.size
-            if kind == "independent":
-                p = np.outer(rng.dirichlet(np.ones(m)),
-                             rng.dirichlet(np.ones(n)))
-            elif kind == "uniform":
-                p = np.full((m, n), 1.0 / (m * n))
-            elif kind == "tiny":
-                p = rng.dirichlet(np.ones(m * n)).reshape(m, n)
-                p[rng.integers(m), rng.integers(n)] = 1e-10
-            elif kind == "sparse":
-                p = rng.dirichlet(np.ones(m * n)).reshape(m, n)
-                p[p < np.median(p) / 2] = 0.0
-            else:
-                p = rng.dirichlet(np.ones(m * n)).reshape(m, n)
-            return joint_pmf(p / p.sum(), px.labels, py.labels), px, py
-
-        rng = np.random.default_rng(61)
-        cases = []
-        for kind in ("random", "independent", "uniform", "tiny", "sparse"):
-            for px in orders3.values():
-                for ny in ("total", "reversed", "vee"):
-                    cases.append(instance(kind, px, orders3[ny]))
-            for px in orders4.values():
-                cases.append(instance(kind, px, orders3["total"]))
-                cases.append(instance(kind, px, orders4["reversed"]))
+        cases = filtered_closure_cases()
         modes = [CmcOptions(mode=mode) for mode in MODES]
 
         def run_all():
@@ -583,6 +741,86 @@ class TestStructuralProperties:
             assert np.array_equal(a.witness.g, b.witness.g)
             assert [a.diagnostics[k] for k in keys] == \
                 [b.diagnostics[k] for k in keys]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_batched_solver_matches_per_face_reference(self, mode):
+        opts = CmcOptions(mode=mode)
+        keys = ("winning_partition_x", "winning_partition_y", "winning_kind",
+                "winning_index", "winning_orientation", "candidates_checked",
+                "candidates_kept", "degenerate_spectra", "tie_candidates")
+        for j, px, py in filtered_closure_cases():
+            got = cmc_exact(j, px, py, opts)
+            ref = reference_cmc(j, px, py, opts)
+            if math.isnan(ref.value):
+                assert math.isnan(got.value) and got.witness is None
+                assert got.diagnostics["no_witness"]
+                keys_here = keys[5:8]
+            else:
+                assert abs(got.value - ref.value) <= 1e-12
+                assert np.abs(got.witness.f - ref.witness.f).max() <= 1e-12
+                assert np.abs(got.witness.g - ref.witness.g).max() <= 1e-12
+                keys_here = keys
+            assert [got.diagnostics.get(k) for k in keys_here] == \
+                [ref.diagnostics.get(k) for k in keys_here]
+
+    def test_stack_split_leaves_reports_unchanged(self, monkeypatch):
+        # one face per stack: the running reduction across stacks gives
+        # the report of one stack per face shape
+        cases = filtered_closure_cases()
+        modes = [CmcOptions(mode=mode) for mode in MODES]
+
+        def run_all():
+            return [cmc_exact(j, px, py, opts)
+                    for j, px, py in cases for opts in modes]
+
+        whole = run_all()
+        monkeypatch.setattr(engine, "_STACK_ENTRIES", 1)
+        split = run_all()
+        for a, b in zip(whole, split):
+            assert a.value == b.value or (math.isnan(a.value)
+                                          and math.isnan(b.value))
+            if a.witness is None:
+                assert b.witness is None
+            else:
+                assert np.array_equal(a.witness.f, b.witness.f)
+                assert np.array_equal(a.witness.g, b.witness.g)
+            a.diagnostics.pop("runtime_seconds")
+            b.diagnostics.pop("runtime_seconds")
+            assert a.diagnostics == b.diagnostics
+
+    def test_face_limit_solve_memory_bounded(self, monkeypatch):
+        # a 17-chain has 2^16 faces against an antichain, all FACE_LIMIT
+        # admits; stacked (A, k, 2E) tables for all of them at once would
+        # take over 1 GB, while one bounded stack at a time needs a few MB
+        rng = np.random.default_rng(71)
+        j = random_pmf(rng, 17, 2)
+        px, py = total_order(j.x_labels), antichain(j.y_labels)
+        listed = {17: distinct_partitions(px), 2: distinct_partitions(py)}
+        assert len(listed[17]) == FACE_LIMIT
+        monkeypatch.setattr(engine, "distinct_partitions",
+                            lambda p: listed[p.size])
+        tracemalloc.start()
+        try:
+            report = cmc_exact(j, px, py)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        check_report(j, report)
+        assert peak < 60e6
+
+    def test_winning_face_degenerate(self):
+        # uniform on the diagonal: the residual spectrum of the unmerged
+        # face is the tied pair (1, 1)
+        j = joint_pmf(np.eye(3) / 3)
+        report = cmc_exact(j, *total_orders(j))
+        assert report.value == pytest.approx(1.0, abs=1e-9)
+        assert report.diagnostics["winning_partition_x"] == \
+            ((0,), (1,), (2,))
+        assert report.diagnostics["winning_face_degenerate"] is True
+        rng = np.random.default_rng(63)
+        j = random_pmf(rng, 3, 3)
+        report = cmc_exact(j, *total_orders(j))
+        assert report.diagnostics["winning_face_degenerate"] is False
 
 
 class TestMgf:

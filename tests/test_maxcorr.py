@@ -10,10 +10,12 @@ from cmcorr.errors import (
     SizeTooLarge,
     ZeroMarginal,
 )
+import cmcorr.maxcorr as maxcorr
 from cmcorr.maxcorr import (
     decompose,
     maximal_correlation,
     residual_singular_pairs,
+    residual_spectra,
     witsenhausen_matrix,
 )
 
@@ -87,6 +89,38 @@ class TestDecompose:
         for row in b.left_vectors:
             nz = np.nonzero(np.abs(row) > 1e-12)[0]
             assert row[nz[0]] > 0
+
+    def test_stacked_sign_fix_matches_loop(self):
+        # the per-vector loop the stacked convention replaced
+        def loop_fix(left, right):
+            for i in range(left.shape[0]):
+                nz = np.nonzero(np.abs(left[i]) > 1e-12)[0]
+                if nz.size and left[i, nz[0]] < 0:
+                    left[i] *= -1.0
+                    right[i] *= -1.0
+
+        rng = np.random.default_rng(65)
+        left = rng.normal(size=(6, 5, 4))
+        tiny = 5e-13 * rng.choice([-1.0, 1.0], size=left.shape)
+        left = np.where(rng.random(left.shape) < 0.3, tiny, left)
+        left[0, 0] = 0.0
+        left[1, 2] = -1e-12
+        right = rng.normal(size=(6, 5, 3))
+        got_l, got_r = left.copy(), right.copy()
+        maxcorr._fix_signs(got_l, got_r)
+        for k in range(left.shape[0]):
+            loop_fix(left[k], right[k])
+        assert np.array_equal(got_l, left) and np.array_equal(got_r, right)
+
+    def test_stack_matches_single_decompositions(self):
+        rng = np.random.default_rng(66)
+        stack = rng.dirichlet(np.ones(12), size=(3, 2)).reshape(3, 2, 3, 4)
+        values, left, right = residual_spectra(stack)
+        for a in range(3):
+            for b in range(2):
+                one = residual_singular_pairs(joint_pmf(stack[a, b]))
+                for got, ref in zip((values, left, right), one):
+                    assert np.allclose(got[a, b], ref, atol=1e-12)
 
     def test_guards(self):
         with pytest.raises(NonFiniteValue):

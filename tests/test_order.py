@@ -25,6 +25,45 @@ from cmcorr.order import (
 )
 
 
+def dense_close(size, pairs):
+    """Reference closure: one dense outer-product update per element."""
+    mat = np.zeros((size, size), dtype=bool)
+    for i, j in pairs:
+        if not (0 <= i < size and 0 <= j < size):
+            raise InputError(f"pair ({i}, {j}) out of range for size {size}")
+        mat[i, j] = True
+    for k in range(size):
+        mat |= np.outer(mat[:, k], mat[k, :])
+    if mat.diagonal().any():
+        raise CycleDetected("transitive closure produced a cycle")
+    return dense_validate(
+        size, {(int(i), int(j)) for i, j in zip(*np.nonzero(mat))})
+
+
+def dense_validate(size, pairs):
+    """Reference checks of a stored relation on a dense boolean matrix."""
+    mat = np.zeros((size, size), dtype=bool)
+    for i, j in pairs:
+        if not (0 <= i < size and 0 <= j < size):
+            raise InputError(f"pair ({i}, {j}) out of range")
+        if i == j:
+            raise CycleDetected(f"reflexive pair ({i}, {i})")
+        mat[i, j] = True
+    if (mat & mat.T).any():
+        raise CycleDetected("relation contains a two-cycle")
+    if ((mat @ mat) & ~mat).any():
+        raise InputError("relation is not transitively closed")
+    return frozenset(pairs)
+
+
+def dense_outcome(build):
+    """(frozenset, pairs) on success, else (exception class, message)."""
+    try:
+        return frozenset, build()
+    except (InputError, CycleDetected) as exc:
+        return type(exc), str(exc)
+
+
 def chain(n):
     return total_order([str(i) for i in range(n)])
 
@@ -69,6 +108,45 @@ class TestConstruction:
     def test_out_of_range_pair(self):
         with pytest.raises(InputError):
             poset_from_pairs(["a", "b"], {(0, 5)})
+
+    def test_checks_match_dense_reference(self):
+        rng = np.random.default_rng(64)
+        outcomes = set()
+        for _ in range(600):
+            n = int(rng.integers(1, 10))
+            labels = [str(i) for i in range(n)]
+            raw = {(int(rng.integers(-1, n + 1)), int(rng.integers(n)))
+                   for _ in range(int(rng.integers(0, 2 * n)))}
+            if rng.random() < 0.7:  # mostly in range, some of them acyclic
+                raw = {(i, k) for i, k in raw if 0 <= i < n}
+                if rng.random() < 0.5:
+                    raw = {(min(i, k), max(i, k)) for i, k in raw if i != k}
+            expected = dense_outcome(lambda: dense_close(n, raw))
+            got = dense_outcome(lambda: poset_from_pairs(labels,
+                                                         raw).strict_pairs)
+            assert got == expected
+            outcomes.add(got[0])
+            # the constructor on the closure, and on it with one pair
+            # dropped or one pair reversed
+            if expected[0] is frozenset:
+                closed = set(expected[1])
+                variants = [closed]
+                if closed:
+                    pair = sorted(closed)[int(rng.integers(len(closed)))]
+                    variants += [closed - {pair}, closed | {pair[::-1]}]
+                for rel in variants:
+                    expected = dense_outcome(lambda: dense_validate(n, rel))
+                    got = dense_outcome(lambda: Poset(
+                        size=n, labels=tuple(labels),
+                        strict_pairs=frozenset(rel)).strict_pairs)
+                    assert got == expected
+                    outcomes.add(got[0])
+        assert outcomes == {frozenset, InputError, CycleDetected}
+
+    def test_wide_antichain_builds(self):
+        labels = [str(i) for i in range(2000)]
+        assert antichain(labels).strict_pairs == frozenset()
+        assert poset_from_pairs(labels, ()).size == 2000
 
 
 class TestReverse:
