@@ -165,7 +165,7 @@ def cmd_compute(args) -> int:
 def cmd_oracle(args) -> int:
     j, px, py = load_instance(args.input)
     cfg = OracleConfig(grid_step=args.step, refine_iters=args.refine_iters,
-                       restart_count=args.restarts, seed=args.seed)
+                       restart_count=args.restarts)
     oracle_value = grid_oracle(j, px, py, cfg)
     engine_value = cmc_exact(j, px, py).value
     _write_out({
@@ -263,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--step", type=float, default=0.05)
     p_oracle.add_argument("--refine-iters", type=int, default=25)
     p_oracle.add_argument("--restarts", type=int, default=3)
-    p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.add_argument("--out", default=None)
     p_oracle.set_defaults(func=cmd_oracle)
 

@@ -5,11 +5,22 @@ moment helpers: no Witsenhausen matrix, no SVD, no merge enumeration.  For
 a total order on the response side it sweeps an exhaustive grid of monotone
 profiles for one function and answers each with an *exact* best response,
 obtained by enumerating the faces of the monotone cone (contiguous block
-poolings along the order).  The positive-side face optimum coincides with
-the pool-adjacent-violators projection; the negative-side optima are the
-negated pooled means, so discordant instances are solved exactly as well.
-The best grid points are then polished by alternating exact best responses.
-For general posets it grids both sides and takes the best feasible pair.
+poolings along the order, whose matrices are built once per order and
+weights).  The positive-side face optimum coincides with the
+pool-adjacent-violators projection; the negative-side optima are the negated
+pooled means, so discordant instances are solved exactly as well.  The best
+grid points are then polished by alternating exact best responses.  For
+general posets it grids both sides and takes the best feasible pair.
+
+The grid at step s holds every monotone function whose values lie on the
+levels 0, s, 2s, ... <= 1.  Centering and scaling to unit variance forget a
+positive affine map, so two grid rows give the same profile exactly when
+their integer level rows agree after subtracting the minimum and dividing
+by the gcd.  The grid is therefore built from these canonical integer rows
+(minimum 0, gcd 1), each scaled to the widest member of its class, and the
+rows are enumerated one element at a time along a linear extension rather
+than as a filtered product.  A grid of more than ``GRID_ROW_LIMIT`` integer
+rows is refused, from its exact count, before anything is built.
 
 Every value the oracle reports is the covariance of a feasible monotone
 pair, so it can never exceed the true CMC.
@@ -17,7 +28,6 @@ pair, so it can never exceed the true CMC.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,11 +41,19 @@ from .errors import (
     SizeTooLarge,
     ZeroVariance,
 )
-from .order import Poset, is_monotone
+from .order import Poset
 
 _TOTAL_SIDE_LIMIT = 5
 _POSET_SIDE_LIMIT = 4
 _CONST_TOL = 1e-12
+# Integer rows one side's grid may hold (min-0 monotone rows of levels
+# 0..1/step).  Every order the side limits admit fits at step 0.02: a
+# 5-chain has 316,251 rows there and a 4-antichain 515,201.  A grid at the
+# limit peaks at about 120 MB traced.
+GRID_ROW_LIMIT = 600_000
+# Queries per stack in the pooled best responses: this over faces x symbols,
+# so each array of a stack holds about this many numbers.
+_POOL_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -43,7 +61,6 @@ class OracleConfig:
     grid_step: float = 0.05
     refine_iters: int = 25
     restart_count: int = 3
-    seed: int = 0  # reserved; the search is exhaustive and deterministic
 
     def __post_init__(self):
         if not (0.0 < self.grid_step <= 0.5):
@@ -128,75 +145,180 @@ def best_response_g(j: JointPmf, f, py: Poset):
     return g, value
 
 
-def _signed_best_response(c: np.ndarray, w: np.ndarray, sigma: list[int]):
-    """Exact max of <g, c>_w over monotone, zero-mean, unit-variance g.
+def _pooled_responder(w: np.ndarray, sigma: list[int]):
+    """Exact best monotone responses along the total order ``sigma``.
 
-    Enumerates the faces of the monotone cone (contiguous block partitions
-    along the order).  Each face's stationary directions are the pooled
-    block means of c, positively or negatively scaled; feasible candidates
-    are compared exactly.  Returns ``(g, value)`` with ``g = None`` when c
-    is degenerate (value 0 is then exact: every response is orthogonal).
+    The faces of the monotone cone are the contiguous block partitions
+    along the order with at least two blocks: face ``mask`` (1 <= mask <
+    2^(n-1)) cuts after sorted position ``gap`` when bit ``gap`` is set.
+    Each face's stationary directions are its pooled block means,
+    positively or negatively scaled.  Every block is a span [a, b) of
+    sorted positions, so the pooling is built once for the order and the
+    weights ``w``: the 0/1 matrix ``member`` takes sorted values to their
+    weighted sums over every span, ``in_face`` adds span terms up per face,
+    ``lower``/``upper`` list the adjacent blocks of every face, and
+    ``step_face`` marks whose they are.
+
+    The returned ``respond(c)`` takes centered conditional means, one row
+    per query, and returns each row's exact max of <g, c>_w over monotone,
+    zero-mean, unit-variance g together with the g attaining it (or None
+    when ``with_g`` is false).  Ties go to the first maximum in mask order,
+    + before -.  A row with no non-degenerate candidate gets value -inf and
+    a NaN g: every response is then orthogonal to it.  Queries run along
+    the last axis, so each step is one pass over long contiguous rows.
     """
     n = len(sigma)
-    cw = c[sigma]
-    ww = w[sigma]
-    best_val = None
-    best_vec = None
-    for mask in range(2 ** (n - 1)):
-        # gap bits select block boundaries; skip the single-block partition
-        bounds = [0]
-        for gap in range(n - 1):
-            if mask >> gap & 1:
-                bounds.append(gap + 1)
-        bounds.append(n)
-        if len(bounds) == 2:
-            continue
-        pooled = np.empty(n)
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            bw = ww[a:b].sum()
-            pooled[a:b] = (ww[a:b] @ cw[a:b]) / bw
-        norm2 = float(ww @ (pooled * pooled))
-        if norm2 <= _CONST_TOL ** 2:
-            continue
-        for sign in (1.0, -1.0):
-            vec = sign * pooled
-            if (np.diff(vec) < -1e-12).any():
-                continue
-            val = float(ww @ (vec * cw)) / math.sqrt(norm2)
-            if best_val is None or val > best_val:
-                best_val = val
-                best_vec = vec / math.sqrt(norm2)
-    if best_val is None:
-        return None, 0.0
-    g = np.empty(len(c))
-    g[sigma] = best_vec
-    return g, best_val
+    ws = w[sigma][:, None]
+    spans = [(a, b) for a in range(n) for b in range(a + 1, n + 1)]
+    faces = []
+    for mask in range(1, 2 ** (n - 1)):
+        cuts = [0] + [gap + 1 for gap in range(n - 1) if mask >> gap & 1]
+        faces.append([spans.index(ab) for ab in zip(cuts, cuts[1:] + [n])])
+    member = np.array([[a <= i < b for i in range(n)] for a, b in spans],
+                      dtype=float)
+    span_w = member @ ws
+    in_face = np.zeros((len(faces), len(spans)))
+    cover = np.empty((len(faces), n), dtype=int)  # block span of a position
+    for m, face in enumerate(faces):
+        in_face[m, face] = 1.0
+        for k in face:
+            cover[m, spans[k][0]:spans[k][1]] = k
+    pairs = [(m, lo, hi) for m, face in enumerate(faces)
+             for lo, hi in zip(face, face[1:])]
+    lower = [lo for _, lo, _ in pairs]
+    upper = [hi for _, _, hi in pairs]
+    step_face = np.array([[m == p[0] for p in pairs]
+                          for m in range(len(faces))], dtype=float)
+    chunk = max(1, _POOL_ENTRIES // (len(faces) * n))
+
+    def respond_sorted(c, with_g):                   # c: (n, queries)
+        sums = member @ (c * ws)
+        means = sums / span_w                        # (spans, queries)
+        norm2 = in_face @ (means * means * span_w)   # (faces, queries)
+        raw = in_face @ (means * sums)
+        steps = means[upper] - means[lower]          # (pairs, queries)
+        valid = norm2 > _CONST_TOL ** 2
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scaled = raw / np.sqrt(norm2)
+        up = valid & (step_face @ (steps < -1e-12) == 0)
+        down = valid & (step_face @ (steps > 1e-12) == 0)
+        plus = np.where(up, scaled, -np.inf)
+        minus = np.where(down, -scaled, -np.inf)
+        if not with_g:
+            return np.maximum(plus.max(axis=0), minus.max(axis=0)), None
+        cand = np.stack([plus, minus], axis=1).reshape(2 * len(faces), -1)
+        pick = cand.argmax(axis=0)
+        cols = np.arange(c.shape[1])
+        face = pick // 2
+        sign = 1.0 - 2.0 * (pick % 2)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            g = (sign * means[cover[face].T, cols]
+                 / np.sqrt(norm2[face, cols]))
+        value = cand[pick, cols]
+        g[:, value == -np.inf] = np.nan
+        return value, g
+
+    def respond(c, with_g=True):
+        c = np.atleast_2d(c)[:, sigma].T
+        parts = [respond_sorted(c[:, a:a + chunk], with_g)
+                 for a in range(0, c.shape[1], chunk)]
+        value = np.concatenate([v for v, _ in parts])
+        if not with_g:
+            return value, None
+        g = np.empty_like(c.T)
+        g[:, sigma] = np.concatenate([part for _, part in parts], axis=1).T
+        return value, g
+
+    return respond
+
+
+def _centered_conditional(cov: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """E[h | side = s] from the rows E[h 1{side = s}], centered under ``w``.
+
+    ``w`` is a stripped marginal, so every entry is positive.
+    """
+    cond = cov / w
+    return cond - (cond @ w)[..., None]
+
+
+def _grid_row_count(p: Poset, top: int) -> int:
+    """Exact count of the rows ``_level_rows(p, top)`` would build.
+
+    A monotone row using exactly k levels is a monotone map onto a k-chain
+    together with a choice of its k levels among 0..top; holding the lowest
+    at 0 leaves C(top, k - 1) choices.  The onto maps are counted by brute
+    force over the n^n maps into an n-chain (n <= 5 here).
+    """
+    n = p.size
+    maps = np.indices((n,) * n).reshape(n, -1).T
+    for i, j in p.strict_pairs:
+        maps = maps[maps[:, i] <= maps[:, j]]
+    levels = np.sort(maps, axis=1)
+    used = 1 + (np.diff(levels, axis=1) > 0).sum(axis=1)
+    onto = np.bincount(used[used == levels[:, -1] + 1])
+    return sum(int(c) * math.comb(top, k - 1)
+               for k, c in enumerate(onto[1:], start=1))
+
+
+def _level_rows(p: Poset, top: int) -> np.ndarray:
+    """Every monotone row of integer levels 0..top along ``p`` with min 0.
+
+    Rows grow one element at a time along a linear extension: each new
+    entry ranges from the largest entry among its strict predecessors up
+    to ``top``.  The minimal elements lead the extension and the minimum
+    sits on one of them, so the last of them is held at 0 in the rows whose
+    other minimal entries are all positive.
+    """
+    ext = p.linear_extension()
+    at = {e: k for k, e in enumerate(ext)}
+    below = [[at[i] for i, j in p.strict_pairs if j == e] for e in ext]
+    last_minimal = sum(not preds for preds in below) - 1
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for k, preds in enumerate(below):
+        lo = (rows[:, preds].max(axis=1) if preds
+              else np.zeros(len(rows), dtype=np.int64))
+        hi = np.full(len(rows), top)
+        if k == last_minimal:
+            hi[(rows > 0).all(axis=1)] = 0
+        counts = hi - lo + 1
+        parent = np.repeat(np.arange(len(rows)), counts)
+        offset = np.repeat(np.cumsum(counts) - counts - lo, counts)
+        rows = np.column_stack([rows[parent], np.arange(len(parent)) - offset])
+    out = np.empty_like(rows)
+    out[:, ext] = rows
+    return out
+
+
+def _widest_canonical_rows(p: Poset, top: int) -> np.ndarray:
+    """One level row per profile class: min 0 and gcd 1, scaled up to top."""
+    rows = _level_rows(p, top)
+    rows = rows[np.gcd.reduce(rows, axis=1) == 1]
+    return rows * (top // rows.max(axis=1))[:, None]
 
 
 def _monotone_profiles(p: Poset, weights: np.ndarray, step: float):
-    """Centered, normalized, deduplicated monotone grid profiles."""
+    """Centered, normalized, deduplicated monotone grid profiles.
+
+    One grid row stands for each canonical integer row (min 0, gcd 1): the
+    class's widest member on the grid, whose variance is the largest in
+    the class, so no class with positive variance is lost to the
+    ``_CONST_TOL`` cut.  Its normalized profile is computed exactly as for
+    any grid row, then rounded to 12 decimals and deduplicated.
+    """
     top = int(math.floor(1.0 / step + 1e-9))
+    count = _grid_row_count(p, top)
+    if count > GRID_ROW_LIMIT:
+        raise SizeTooLarge(
+            f"grid step {step:g} gives {count:,} monotone rows on this "
+            f"{p.size}-element order; the oracle is limited to "
+            f"{GRID_ROW_LIMIT:,}"
+        )
     levels = np.minimum(np.arange(top + 1) * step, 1.0)
-    n = p.size
-    rows: list[np.ndarray] = []
-    if p.is_total():
-        sigma = p.linear_extension()
-        for combo in itertools.combinations_with_replacement(levels, n):
-            row = np.empty(n)
-            row[sigma] = combo
-            rows.append(row)
-    else:
-        for combo in itertools.product(levels, repeat=n):
-            if is_monotone(combo, p, 0.0):
-                rows.append(np.asarray(combo))
-    if not rows:
-        return np.empty((0, n))
-    grid = np.vstack(rows)
-    means = grid @ weights
-    centered = grid - means[:, None]
-    variances = (centered * centered) @ weights
+    grid = levels[_widest_canonical_rows(p, top)]
+    grid -= (grid @ weights)[:, None]
+    variances = (grid * grid) @ weights
     ok = variances > _CONST_TOL
-    normalized = centered[ok] / np.sqrt(variances[ok])[:, None]
+    normalized = grid[ok] / np.sqrt(variances[ok])[:, None]
     return np.unique(np.round(normalized, 12), axis=0)
 
 
@@ -205,44 +327,13 @@ def _sweep_and_refine(j: JointPmf, px: Poset, py: Poset,
     """Grid X-side profiles, answer each exactly, refine the best points."""
     px_w = marginal_x(j)
     py_w = marginal_y(j)
-    sigma_y = py.linear_extension()
     profiles = _monotone_profiles(px, px_w, cfg.grid_step)
     if profiles.shape[0] == 0:
         raise InputError("no non-constant monotone profile exists")
 
-    cond = profiles @ j.p  # row k: E[f_k(X) 1{Y=y}]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cond = cond / py_w
-    cond[:, py_w == 0.0] = 0.0
-    cond -= (cond @ py_w)[:, None]
-
-    n = py.size
-    cw = cond[:, sigma_y]
-    ww = py_w[sigma_y]
-    best_vals = np.full(profiles.shape[0], -np.inf)
-    for mask in range(2 ** (n - 1)):
-        bounds = [0]
-        for gap in range(n - 1):
-            if mask >> gap & 1:
-                bounds.append(gap + 1)
-        bounds.append(n)
-        if len(bounds) == 2:
-            continue
-        pooled = np.empty_like(cw)
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            bw = ww[a:b].sum()
-            pooled[:, a:b] = ((cw[:, a:b] * ww[a:b]).sum(axis=1) / bw)[:, None]
-        norm2 = (pooled * pooled) @ ww
-        valid = norm2 > _CONST_TOL ** 2
-        raw = (pooled * cw) @ ww
-        with np.errstate(invalid="ignore", divide="ignore"):
-            scaled = raw / np.sqrt(norm2)
-        up = valid & ~(np.diff(pooled, axis=1) < -1e-12).any(axis=1)
-        down = valid & ~(np.diff(pooled, axis=1) > 1e-12).any(axis=1)
-        if up.any():
-            best_vals[up] = np.maximum(best_vals[up], scaled[up])
-        if down.any():
-            best_vals[down] = np.maximum(best_vals[down], -scaled[down])
+    respond_y = _pooled_responder(py_w, py.linear_extension())
+    best_vals, _ = respond_y(_centered_conditional(profiles @ j.p, py_w),
+                             with_g=False)
     best_vals[best_vals == -np.inf] = 0.0  # degenerate rows answer zero
 
     order = np.argsort(-best_vals, kind="stable")
@@ -253,31 +344,21 @@ def _sweep_and_refine(j: JointPmf, px: Poset, py: Poset,
     if not both_total or cfg.refine_iters == 0:
         return overall
 
-    sigma_x = px.linear_extension()
-    px_w_x = px_w
-    jt = j.p.T
+    respond_x = _pooled_responder(px_w, px.linear_extension())
     for k in top:
         f = profiles[k].copy()
         value = float(best_vals[k])
         for _ in range(cfg.refine_iters):
-            cond_y = jt @ f
-            with np.errstate(invalid="ignore", divide="ignore"):
-                cond_y = cond_y / py_w
-            cond_y[py_w == 0.0] = 0.0
-            cond_y -= float(py_w @ cond_y)
-            g, vg = _signed_best_response(cond_y, py_w, sigma_y)
-            if g is None:
+            vg, g = respond_y(_centered_conditional(j.p.T @ f, py_w))
+            vg = float(vg[0])
+            if vg == -np.inf:
                 break
-            cond_x = j.p @ g
-            with np.errstate(invalid="ignore", divide="ignore"):
-                cond_x = cond_x / px_w_x
-            cond_x[px_w_x == 0.0] = 0.0
-            cond_x -= float(px_w_x @ cond_x)
-            f_new, vf = _signed_best_response(cond_x, px_w_x, sigma_x)
-            if f_new is None:
+            vf, f_new = respond_x(_centered_conditional(j.p @ g[0], px_w))
+            vf = float(vf[0])
+            if vf == -np.inf:
                 value = max(value, vg)
                 break
-            f = f_new
+            f = f_new[0]
             improved = max(vg, vf)
             if improved <= value + 1e-15:
                 value = max(value, improved)
@@ -307,7 +388,8 @@ def grid_oracle(j: JointPmf, px: Poset, py: Poset,
 
     With a total order on either side the opposite side is swept on a grid
     and answered exactly; otherwise both sides are gridded.  Alphabets are
-    capped at 5 symbols per total-order side and 4 per general side.
+    capped at 5 symbols per total-order side and 4 per general side, and
+    each gridded side at ``GRID_ROW_LIMIT`` integer rows.
     """
     js, pxs, pys, _, _ = strip_zero_support(j, px, py)
     for side, total_limit in ((pxs, _TOTAL_SIDE_LIMIT),

@@ -1,6 +1,12 @@
+import itertools
+import json
+import math
+
 import numpy as np
 import pytest
 
+from cmcorr import oracle
+from cmcorr.cli import main
 from cmcorr.dist import joint_pmf
 from cmcorr.engine import cmc_exact
 from cmcorr.errors import (
@@ -16,9 +22,16 @@ from cmcorr.oracle import (
     grid_oracle,
     pava_isotonic,
 )
-from cmcorr.order import antichain, is_monotone, reverse, total_order
+from cmcorr.order import (
+    antichain,
+    is_monotone,
+    poset_from_pairs,
+    reverse,
+    total_order,
+)
 
 DSBS = [[0.4, 0.1], [0.1, 0.4]]
+DIAMOND = [(0, 1), (0, 2), (1, 3), (2, 3)]
 
 
 def total_orders(j):
@@ -198,3 +211,242 @@ class TestGridOracle:
             OracleConfig(refine_iters=-1)
         with pytest.raises(InputError):
             OracleConfig(restart_count=0)
+
+
+def reference_monotone_profiles(p, weights, step):
+    """The former oracle grid: the full product, filtered and deduplicated."""
+    top = int(math.floor(1.0 / step + 1e-9))
+    levels = np.minimum(np.arange(top + 1) * step, 1.0)
+    n = p.size
+    rows: list[np.ndarray] = []
+    if p.is_total():
+        sigma = p.linear_extension()
+        for combo in itertools.combinations_with_replacement(levels, n):
+            row = np.empty(n)
+            row[sigma] = combo
+            rows.append(row)
+    else:
+        for combo in itertools.product(levels, repeat=n):
+            if is_monotone(combo, p, 0.0):
+                rows.append(np.asarray(combo))
+    if not rows:
+        return np.empty((0, n))
+    grid = np.vstack(rows)
+    means = grid @ weights
+    centered = grid - means[:, None]
+    variances = (centered * centered) @ weights
+    ok = variances > oracle._CONST_TOL
+    normalized = centered[ok] / np.sqrt(variances[ok])[:, None]
+    return np.unique(np.round(normalized, 12), axis=0)
+
+
+def reference_signed_best_response(c, w, sigma):
+    """The former per-partition loop behind the oracle's best responses."""
+    n = len(sigma)
+    cw = c[sigma]
+    ww = w[sigma]
+    best_val = None
+    best_vec = None
+    for mask in range(2 ** (n - 1)):
+        bounds = [0]
+        for gap in range(n - 1):
+            if mask >> gap & 1:
+                bounds.append(gap + 1)
+        bounds.append(n)
+        if len(bounds) == 2:
+            continue
+        pooled = np.empty(n)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            bw = ww[a:b].sum()
+            pooled[a:b] = (ww[a:b] @ cw[a:b]) / bw
+        norm2 = float(ww @ (pooled * pooled))
+        if norm2 <= 1e-24:
+            continue
+        for sign in (1.0, -1.0):
+            vec = sign * pooled
+            if (np.diff(vec) < -1e-12).any():
+                continue
+            val = float(ww @ (vec * cw)) / math.sqrt(norm2)
+            if best_val is None or val > best_val:
+                best_val = val
+                best_vec = vec / math.sqrt(norm2)
+    if best_val is None:
+        return None, 0.0
+    g = np.empty(len(c))
+    g[sigma] = best_vec
+    return g, best_val
+
+
+def _orders(size):
+    labels = [str(i) for i in range(size)]
+    if size == 4:
+        return {"total": total_order(labels),
+                "diamond": poset_from_pairs(labels, DIAMOND)}
+    return {
+        "total": total_order(labels),
+        "reversed": reverse(total_order(labels)),
+        "vee": poset_from_pairs(labels, [(0, 1), (0, 2)]),
+        "wedge": poset_from_pairs(labels, [(0, 2), (1, 2)]),
+        "chain+1": poset_from_pairs(labels, [(0, 1)]),
+        "antichain": antichain(labels),
+    }
+
+
+GRID_CASES = [
+    (size, name, step, tiny)
+    for size, steps in ((3, (0.5, 0.1, 0.02)), (4, (0.5, 0.1, 0.05)))
+    for name in _orders(size)
+    for step in steps
+    for tiny in (None, 1e-10, 1e-12)
+]
+
+
+class TestMonotoneGrid:
+    @pytest.mark.parametrize("size,name,step,tiny", GRID_CASES)
+    def test_subset_of_reference_and_covers_it(self, size, name, step, tiny):
+        p = _orders(size)[name]
+        rng = np.random.default_rng(
+            GRID_CASES.index((size, name, step, tiny)))
+        w = rng.dirichlet(np.ones(size))
+        if tiny is not None:
+            w[rng.integers(size)] = tiny
+            w /= w.sum()
+        kept = oracle._monotone_profiles(p, w, step)
+        ref = reference_monotone_profiles(p, w, step)
+        ref_rows = set(map(tuple, ref))
+        assert all(tuple(row) in ref_rows for row in kept)
+        kept_rows = set(map(tuple, kept))
+        for row in ref:
+            if tuple(row) not in kept_rows:
+                nearest = np.abs(kept - row).max(axis=1).min()
+                assert nearest <= 1e-9 * max(1.0, np.abs(row).max())
+
+    @pytest.mark.parametrize("size", (3, 4))
+    def test_row_count_is_exact(self, size):
+        for name, p in _orders(size).items():
+            for top in (2, 3, 7, 20):
+                rows = oracle._level_rows(p, top)
+                assert len(rows) == oracle._grid_row_count(p, top), name
+                assert len(set(map(tuple, rows))) == len(rows)
+                assert (rows.min(axis=1) == 0).all()
+                assert all(is_monotone(r, p, 0.0) for r in rows)
+                brute = sum(
+                    1 for r in itertools.product(range(top + 1), repeat=size)
+                    if min(r) == 0 and is_monotone(r, p, 0.0))
+                assert len(rows) == brute, name
+
+    def test_chain_count_is_binomial(self):
+        for n in range(2, 6):
+            p = total_order([str(i) for i in range(n)])
+            assert oracle._grid_row_count(p, 50) == math.comb(50 + n - 1,
+                                                              n - 1)
+
+    @pytest.mark.parametrize("shape,step", [((3, 3), 0.02), ((4, 4), 0.05)])
+    def test_oracle_value_matches_reference_grid(self, shape, step,
+                                                 monkeypatch):
+        rng = np.random.default_rng(38)
+        cfg = OracleConfig(grid_step=step, refine_iters=50)
+        instances = [random_pmf(rng, *shape) for _ in range(4)]
+        values = [grid_oracle(j, *total_orders(j), cfg) for j in instances]
+        monkeypatch.setattr(oracle, "_monotone_profiles",
+                            reference_monotone_profiles)
+        for j, value in zip(instances, values):
+            assert value == pytest.approx(
+                grid_oracle(j, *total_orders(j), cfg), abs=1e-12)
+
+
+class TestPooledResponder:
+    @pytest.mark.parametrize("n,entries", [(2, None), (3, None), (4, None),
+                                           (5, None), (4, 1)])
+    def test_matches_reference_loop(self, n, entries, monkeypatch):
+        if entries is not None:     # one query per stack
+            monkeypatch.setattr(oracle, "_POOL_ENTRIES", entries)
+        rng = np.random.default_rng(40 + n)
+        for _ in range(40):
+            w = rng.dirichlet(np.ones(n))
+            sigma = [int(i) for i in rng.permutation(n)]
+            c = rng.normal(size=(6, n))
+            c[1] = 0.0                              # degenerate: no response
+            c[2] = np.round(c[2])                   # ties between faces
+            c[3, sigma[1]] = c[3, sigma[0]]
+            c -= (c @ w)[:, None]
+            respond = oracle._pooled_responder(w, sigma)
+            values, g = respond(c)
+            assert (respond(c, with_g=False)[0] == values).all()
+            for row, value, vec in zip(c, values, g):
+                ref_g, ref_value = reference_signed_best_response(row, w,
+                                                                  sigma)
+                if ref_g is None:
+                    assert value == -np.inf
+                    assert np.isnan(vec).all()
+                else:
+                    assert value == pytest.approx(ref_value, abs=1e-12)
+                    assert vec == pytest.approx(ref_g, abs=1e-12)
+
+    def test_tie_break_first_mask(self):
+        # on a decreasing c no nondecreasing response is positive; the
+        # negated faces {0}{1,2} (mask 1) and {0,1}{2} (mask 2) tie exactly
+        # at -sqrt(3) with different g, and the first mask must win
+        w = np.array([0.25, 0.5, 0.25])
+        c = np.array([3.0, 0.0, -3.0])
+        value, g = oracle._pooled_responder(w, [0, 1, 2])(c)
+        ref_g, ref_value = reference_signed_best_response(c, w, [0, 1, 2])
+        assert value[0] == ref_value
+        assert value[0] == pytest.approx(-math.sqrt(3.0), abs=1e-15)
+        assert g[0] == pytest.approx(
+            np.array([-3.0, 1.0, 1.0]) / math.sqrt(3.0), abs=1e-15)
+        assert g[0] == pytest.approx(ref_g, abs=1e-15)
+
+
+class TestGridLimit:
+    def test_five_chain_fine_step_refused_before_building(self,
+                                                          monkeypatch):
+        def never(*args):
+            raise AssertionError("grid built")
+        monkeypatch.setattr(oracle, "_level_rows", never)
+        j = joint_pmf(np.full((5, 5), 1 / 25))
+        with pytest.raises(SizeTooLarge, match="monotone rows"):
+            grid_oracle(j, *total_orders(j), OracleConfig(grid_step=0.001))
+
+    def test_limit_is_on_the_exact_count(self, monkeypatch):
+        j = joint_pmf(DSBS)
+        p = total_order(j.x_labels)
+        count = oracle._grid_row_count(p, 20)          # step 0.05
+        assert count == 21
+        monkeypatch.setattr(oracle, "GRID_ROW_LIMIT", count)
+        assert grid_oracle(j, *total_orders(j)) == pytest.approx(0.6,
+                                                                 abs=1e-9)
+        monkeypatch.setattr(oracle, "GRID_ROW_LIMIT", count - 1)
+        with pytest.raises(SizeTooLarge):
+            grid_oracle(j, *total_orders(j))
+
+    def test_every_side_accepted_at_step_002(self):
+        for n in range(2, 6):
+            p = total_order([str(i) for i in range(n)])
+            assert oracle._grid_row_count(p, 50) <= oracle.GRID_ROW_LIMIT
+        for p in (antichain("abcd"), poset_from_pairs("abcd", DIAMOND)):
+            assert oracle._grid_row_count(p, 50) <= oracle.GRID_ROW_LIMIT
+
+    def test_cli_exits_one(self, tmp_path, capsys):
+        doc = {
+            "x": {"labels": [str(i) for i in range(5)]},
+            "y": {"labels": [str(i) for i in range(5)]},
+            "pmf": np.full((5, 5), 1 / 25).tolist(),
+        }
+        path = tmp_path / "five_by_five.json"
+        path.write_text(json.dumps(doc))
+        assert main(["oracle", str(path), "--step", "0.001"]) == 1
+        assert "monotone rows" in capsys.readouterr().err
+
+
+def test_diamond_against_engine():
+    rng = np.random.default_rng(39)
+    cfg = OracleConfig(grid_step=0.02, refine_iters=50, restart_count=3)
+    for _ in range(3):
+        j = random_pmf(rng, 4, 4)
+        px = poset_from_pairs(j.x_labels, DIAMOND)
+        py = total_order(j.y_labels)
+        value = grid_oracle(j, px, py, cfg)
+        engine = cmc_exact(j, px, py).value
+        assert value <= engine + 1e-9
+        assert engine - value <= 1e-4
