@@ -32,7 +32,6 @@ from .dist import (
     pair_stats,
     product_pmf,
     strip_zero_support,
-    validate,
 )
 from .engine import (
     Candidate,
@@ -66,12 +65,10 @@ from .maxcorr import (
 from .oracle import OracleConfig, best_response_g, grid_oracle, pava_isotonic
 from .order import (
     BlockPartition,
-    MergeSelection,
     Poset,
     antichain,
     enumerate_monotone_boolean,
     is_monotone,
-    merge_partition,
     partition_from_blocks,
     poset_from_pairs,
     product,

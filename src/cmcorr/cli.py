@@ -35,7 +35,6 @@ from .dist import JointPmf, empirical_from_samples
 from .engine import (
     CmcOptions,
     cmc_exact,
-    cmc_plus,
     cmc_x_reversed,
     default_mgf_grid,
 )
@@ -136,13 +135,17 @@ def cmd_compute(args) -> int:
     j, px, py = load_instance(args.input)
     opts = CmcOptions(mode=args.mode.replace("-", "_"))
     measures = MEASURES[:-1] if args.measure == "all" else (args.measure,)
+    # cmc and cmc_plus come from one solve
+    cmc = cmc_exact(j, px, py, opts) \
+        if {"cmc", "cmc_plus"} & set(measures) else None
     out: dict = {}
     for measure in measures:
         if measure == "cmc":
-            out[measure] = _report_entry(j, cmc_exact(j, px, py, opts))
+            out[measure] = _report_entry(j, cmc)
         elif measure == "cmc_plus":
-            value = cmc_plus(j, px, py, opts)
-            out[measure] = {"value": None if math.isnan(value) else value}
+            # as engine.cmc_plus: clipped at zero, and NaN stays NaN (null)
+            value = None if math.isnan(cmc.value) else max(0.0, cmc.value)
+            out[measure] = {"value": value}
         elif measure == "cmc_xrev":
             out[measure] = _report_entry(j, cmc_x_reversed(j, px, py, opts))
         elif measure == "maxcorr":

@@ -115,13 +115,6 @@ def joint_pmf(p, x_labels=None, y_labels=None, x_values=None,
                     p=arr, x_values=x_values, y_values=y_values)
 
 
-def validate(j: JointPmf) -> JointPmf:
-    """Re-run construction-time checks and return the pmf unchanged."""
-    JointPmf(x_labels=j.x_labels, y_labels=j.y_labels, p=j.p,
-             x_values=j.x_values, y_values=j.y_values)
-    return j
-
-
 def marginal_x(j: JointPmf) -> np.ndarray:
     return j.p.sum(axis=1)
 

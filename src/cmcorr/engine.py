@@ -23,7 +23,9 @@ the candidates near the best covariance so far before the next one is
 built, so memory stays bounded.  Kept candidates are feasible by
 construction, so the reported maximum never overshoots the true value.
 Instances with more than ``FACE_LIMIT`` faces are refused before any
-spectral work.
+spectral work.  The faces and tables of an order depend on the order
+alone, so those of recently solved orders are kept in a small memo,
+bounded by the number of partitions it holds (``MEMO_PARTITIONS``).
 
 Two candidate policies are supported:
 
@@ -40,9 +42,11 @@ Two candidate policies are supported:
 from __future__ import annotations
 
 import math
+import threading
 import time
+from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -311,37 +315,44 @@ _STACK_ENTRIES = 2 ** 18
 
 @dataclass(frozen=True)
 class _Tables:
-    """The partitions of one side that have k blocks, stacked."""
+    """The partitions of one side that have k blocks, stacked; every array
+    is read-only, since the tables are kept in the memo (see ``_Side``)."""
 
-    parts: list[BlockPartition]
+    parts: tuple[BlockPartition, ...]
     blocks: int           # k
     block_of: np.ndarray  # (A, size) block of each symbol
     pairs: np.ndarray     # (2E,) lower ends of the strict pairs, then upper
     scores: np.ndarray | None  # (A, k) quotient depths, extended mode only
 
     def rows(self, start: int, stop: int) -> _Tables:
-        """The tables of the partitions ``parts[start:stop]``; the whole
-        range is this object itself, so its cached arrays are reused."""
-        if start == 0 and stop >= len(self.parts):
-            return self
+        """The tables of the partitions ``parts[start:stop]``."""
         return _Tables(self.parts[start:stop], self.blocks,
                        self.block_of[start:stop], self.pairs,
                        None if self.scores is None
                        else self.scores[start:stop])
 
-    @cached_property
+    # The one-hot arrays are built per stack and never kept: they are k
+    # times larger than ``block_of``.
+
+    @property
     def onehot(self) -> np.ndarray:
         """(A, k, size) block membership."""
         labels = np.arange(self.blocks)[:, None]
         return (self.block_of[:, None, :] == labels).astype(float)
 
-    @cached_property
+    @property
     def ends(self) -> np.ndarray:
         """(A, k, 2E) one-hot blocks of the pair ends, lower ends first."""
-        return self.onehot[:, :, self.pairs]
+        labels = np.arange(self.blocks)[:, None]
+        return (self.block_of[:, None, self.pairs] == labels).astype(float)
 
 
-def _side_tables(p: Poset, parts: list[BlockPartition],
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _side_tables(p: Poset, parts: Sequence[BlockPartition],
                  extended: bool) -> list[_Tables]:
     """The tables of the partitions with at least two blocks, one per block
     count; a face with a single block on either side has no candidates."""
@@ -352,16 +363,97 @@ def _side_tables(p: Poset, parts: list[BlockPartition],
     pairs = np.array(p.pairs_sorted(), dtype=np.intp).reshape(-1, 2).T
     lower, upper = pairs
     step = max(1, _STACK_ENTRIES // max(1, len(lower)))
+    flat = _frozen(pairs.ravel())
     tables = []
     for k, group in sorted(by_count.items()):
-        block_of = np.array([q.block_of for q in group], dtype=np.intp)
-        scores = np.concatenate([
+        block_of = _frozen(np.array([q.block_of for q in group],
+                                    dtype=np.intp))
+        scores = _frozen(np.concatenate([
             _quotient_scores(rows[:, lower], rows[:, upper], k)
             for rows in (block_of[a:a + step]
                          for a in range(0, len(group), step))
-        ]) if extended else None
-        tables.append(_Tables(group, k, block_of, pairs.ravel(), scores))
+        ])) if extended else None
+        tables.append(_Tables(tuple(group), k, block_of, flat, scores))
     return tables
+
+
+# At most this many partitions, summed over the orders, are kept in the
+# memo of faces and tables; an order with more is solved without being kept.
+MEMO_PARTITIONS = 4096
+
+
+class _Side(NamedTuple):
+    """The faces of one order in canonical order, and their tables."""
+
+    parts: tuple[BlockPartition, ...]
+    tables: list[_Tables]
+
+
+class _SideMemo:
+    """The faces and tables of the orders solved last, least recently used
+    first, holding at most ``MEMO_PARTITIONS`` partitions in all.
+
+    Keys are ``(size, strict_pairs, extended, FACE_LIMIT)``: the faces
+    depend on the order alone, not on its labels or on the pmf, and the
+    tables only add the structural scores of extended mode.  A lock keeps
+    the count right when several threads solve at once.
+    """
+
+    def __init__(self):
+        self.entries: OrderedDict[tuple, _Side] = OrderedDict()
+        self.held = 0  # partitions held, summed over the entries
+        self._lock = threading.Lock()
+
+    def get(self, key) -> _Side | None:
+        with self._lock:
+            side = self.entries.get(key)
+            if side is not None:
+                self.entries.move_to_end(key)
+            return side
+
+    def put(self, key, side: _Side) -> None:
+        with self._lock:
+            if key in self.entries or len(side.parts) > MEMO_PARTITIONS:
+                return
+            self.entries[key] = side
+            self.held += len(side.parts)
+            while self.held > MEMO_PARTITIONS:
+                self.held -= len(self.entries.popitem(last=False)[1].parts)
+
+    def clear(self) -> None:
+        with self._lock:
+            self.entries.clear()
+            self.held = 0
+
+
+_MEMO = _SideMemo()
+
+
+def _sides(px: Poset, py: Poset, extended: bool) -> list[_Side]:
+    """The faces and tables of both orders, from the memo or built and
+    kept there.
+
+    Raises :class:`EnumerationTooLarge` when the instance has more than
+    ``FACE_LIMIT`` faces, before any table is built or anything is kept.
+    """
+    keys = [(p.size, p.strict_pairs, extended, FACE_LIMIT) for p in (px, py)]
+    held = [_MEMO.get(key) for key in keys]
+    # canonical face order, so a face's place in a stack never depends on
+    # the order the enumerator returned
+    parts = [side.parts if side else
+             tuple(sorted(distinct_partitions(p), key=lambda q: q.blocks))
+             for p, side in zip((px, py), held)]
+    n_faces = len(parts[0]) * len(parts[1])
+    if n_faces > FACE_LIMIT:
+        raise EnumerationTooLarge(
+            f"{len(parts[0])} x {len(parts[1])} = {n_faces} faces exceed the "
+            f"limit {FACE_LIMIT}"
+        )
+    for i, p in enumerate((px, py)):
+        if held[i] is None:
+            held[i] = _Side(parts[i], _side_tables(p, parts[i], extended))
+            _MEMO.put(keys[i], held[i])
+    return held
 
 
 def _stacks(sides_x: list[_Tables], sides_y: list[_Tables]):
@@ -554,24 +646,13 @@ def cmc_exact(j: JointPmf, px: Poset, py: Poset,
     """
     start = time.perf_counter()
     js, pxs, pys, keep_x, keep_y = strip_zero_support(j, px, py)
-    # canonical face order, so a face's place in a stack never depends on
-    # the order the enumerator returned
-    parts_x = sorted(distinct_partitions(pxs), key=lambda q: q.blocks)
-    parts_y = sorted(distinct_partitions(pys), key=lambda q: q.blocks)
-    n_faces = len(parts_x) * len(parts_y)
-    if n_faces > FACE_LIMIT:
-        raise EnumerationTooLarge(
-            f"{len(parts_x)} x {len(parts_y)} = {n_faces} faces exceed the "
-            f"limit {FACE_LIMIT}"
-        )
-    extended = opts.mode == "extended"
+    side_x, side_y = _sides(pxs, pys, opts.mode == "extended")
     # each stack is reduced before the next is solved: only the candidates
     # within tie_tol of the best covariance so far are kept
     best_cov = -math.inf
     near: list[tuple[Candidate, bool]] = []
     checked = n_kept = degenerate = 0
-    for tx, ty in _stacks(_side_tables(pxs, parts_x, extended),
-                          _side_tables(pys, parts_y, extended)):
+    for tx, ty in _stacks(side_x.tables, side_y.tables):
         kept, n, d = _solve_stack(js, tx, ty, opts)
         checked += n
         degenerate += d
@@ -584,7 +665,7 @@ def cmc_exact(j: JointPmf, px: Poset, py: Poset,
             k.hit & (k.cov >= best_cov - opts.tie_tol)))]
     diagnostics = {
         "mode": opts.mode,
-        "partitions_enumerated": n_faces,
+        "partitions_enumerated": len(side_x.parts) * len(side_y.parts),
         "candidates_checked": int(checked),
         "candidates_kept": int(n_kept),
         "degenerate_spectra": degenerate,

@@ -3,13 +3,13 @@
 Orders are stored transitively closed: ``strict_pairs`` holds every ordered
 pair ``(i, j)`` with element ``i`` strictly below element ``j``.  Storing
 the closure instead of cover relations makes the monotone check a plain
-scan over pairs and lets merge enumeration range directly over all strict
-pairs.  Ties always pass the monotone check (non-strict comparisons).
+scan over pairs.  Ties always pass the monotone check (non-strict comparisons).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,22 +45,22 @@ class Poset:
             )
         if len(set(self.labels)) != self.size:
             raise DuplicateLabel("labels must be distinct")
-        mat = np.zeros((self.size, self.size), dtype=bool)
+        above = [0] * self.size  # bitmask of the elements above each one
         for i, j in self.strict_pairs:
             if not (0 <= i < self.size and 0 <= j < self.size):
                 raise InputError(f"pair ({i}, {j}) out of range")
             if i == j:
                 raise CycleDetected(f"reflexive pair ({i}, {i})")
-            mat[i, j] = True
-        if (mat & mat.T).any():
-            raise CycleDetected("relation contains a two-cycle")
-        # closed: everything above j is above i for each pair i < j; with
-        # the rows as bitmasks that is one test per pair, and a pair whose
-        # upper end has nothing above it is skipped
-        above = [int.from_bytes(row.tobytes(), "little")
-                 for row in np.packbits(mat, axis=1, bitorder="little")]
+            above[i] |= 1 << operator.index(j)
+        # closed: everything above j is above i for each pair i < j, one
+        # test per pair; a pair whose upper end has nothing above is skipped
         if any(above[j] & ~above[i] for i, j in self.strict_pairs
                if above[j]):
+            # a two-cycle i < j < i fails that test too, at (i, j), as i is
+            # above j but not above itself; so a relation that passes has
+            # none, and one that fails is checked for one
+            if any(above[j] >> i & 1 for i, j in self.strict_pairs):
+                raise CycleDetected("relation contains a two-cycle")
             raise InputError("relation is not transitively closed")
 
     def pairs_sorted(self) -> list[tuple[int, int]]:
@@ -82,13 +82,6 @@ class Poset:
         for _, j in self.strict_pairs:
             below[j] += 1
         return sorted(range(self.size), key=lambda i: (below[i], i))
-
-
-@dataclass(frozen=True)
-class MergeSelection:
-    """A chosen subset of a poset's strict pairs to be forced to equality."""
-
-    pairs: frozenset[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -230,29 +223,6 @@ def is_monotone(f, p: Poset, tol: float = MONOTONE_TOL) -> bool:
         if arr[i] > arr[j] + tol:
             return False
     return True
-
-
-def merge_partition(p: Poset, selection: MergeSelection) -> BlockPartition:
-    """Connected components of the selected pairs, via union-find."""
-    if not selection.pairs <= p.strict_pairs:
-        raise InputError("selection contains pairs outside the poset relation")
-    parent = list(range(p.size))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in sorted(selection.pairs):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(p.size):
-        groups.setdefault(find(i), []).append(i)
-    return partition_from_blocks(groups.values(), p.size)
 
 
 def enumerate_monotone_boolean(p: Poset) -> list[tuple[int, ...]]:

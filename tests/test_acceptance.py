@@ -207,14 +207,22 @@ def test_c10_determinism_across_face_order(monkeypatch):
     enumerate_faces = c.engine.distinct_partitions
     rng = np.random.default_rng(100_100)
 
+    calls = []
+
     def shuffled(p):
+        calls.append(p)
         parts = enumerate_faces(p)
         rng.shuffle(parts)
         return parts
 
+    def solve(j):
+        c.engine._MEMO.clear()  # so every solve enumerates a new shuffle
+        return c.cmc_exact(j, *total_orders(j))
+
     monkeypatch.setattr(c.engine, "distinct_partitions", shuffled)
+    monkeypatch.setattr(c.engine, "_MEMO", c.engine._SideMemo())
     for j, ref in zip(instances, refs):
-        reports = [c.cmc_exact(j, *total_orders(j)) for _ in range(3)]
+        reports = [solve(j) for _ in range(3)]
         same = all(
             r.value == ref.value
             and np.array_equal(r.witness.f, ref.witness.f)
@@ -226,6 +234,7 @@ def test_c10_determinism_across_face_order(monkeypatch):
             for r in reports
         )
         violations.append(0.0 if same else 1.0)
+    violations.append(0.0 if len(calls) == 2 * 3 * len(instances) else 1.0)
     _criterion(10, "reports identical under shuffled face order",
                violations, 60.0, time.perf_counter() - start, 0.0)
 

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from cmcorr.cli import main
+from cmcorr.cli import load_instance, main
+from cmcorr.engine import CmcOptions, cmc_plus
 from cmcorr.errors import NumericalFailure
 from cmcorr.order import product, total_order
 
@@ -165,6 +167,45 @@ class TestCompute:
         path.write_text(json.dumps(doc))
         assert main(["compute", str(path), "--measure", "cmc"]) == 1
         assert "600-element order has more than" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("mode", ["paper-faithful", "extended"])
+    def test_all_matches_single_measures(self, tmp_path, mode):
+        # cmc_plus comes from the cmc solve of the same run; in the
+        # literal mode the discordant pair has no witness, so cmc and
+        # cmc_plus are both null
+        rng = np.random.default_rng(75)
+        docs = [DSBS_DOC, DISCORDANT_DOC, {
+            "x": {"labels": ["a", "b", "c"], "values": [0, 1, 2],
+                  "order": {"pairs": [[0, 1], [0, 2]]}},
+            "y": {"labels": ["u", "v", "w", "z"], "values": [0, 1, 2, 3],
+                  "order": {"pairs": [[3, 2], [2, 1], [1, 0]]}},
+            "pmf": rng.dirichlet(np.ones(12)).reshape(3, 4).tolist(),
+        }]
+        nulls = 0
+        for k, doc in enumerate(docs):
+            path = tmp_path / f"in{k}.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / "all.json"
+            assert main(["compute", str(path), "--mode", mode,
+                         "--out", str(out)]) == 0
+            got = out.read_text()
+            single = {}
+            for measure in json.loads(got)["measures"]:
+                assert main(["compute", str(path), "--mode", mode,
+                             "--measure", measure, "--out", str(out)]) == 0
+                single.update(json.loads(out.read_text())["measures"])
+            expected = {"schema": "cmcorr.compute.v1", "input": str(path),
+                        "mode": mode, "measures": single}
+            assert got == json.dumps(expected, sort_keys=True, indent=2,
+                                     allow_nan=False) + "\n"
+            # and cmc_plus is what the library function gives
+            plus = cmc_plus(*load_instance(str(path)),
+                            CmcOptions(mode=mode.replace("-", "_")))
+            assert single["cmc_plus"]["value"] == \
+                (None if math.isnan(plus) else plus)
+            nulls += single["cmc_plus"]["value"] is None
+        assert nulls == (mode == "paper-faithful")
 
 
 class TestOracle:

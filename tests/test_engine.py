@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -210,6 +212,31 @@ def filtered_closure_cases():
             cases.append(instance(kind, px, orders3["total"]))
             cases.append(instance(kind, px, orders4["reversed"]))
     return cases
+
+
+def enumerate_with(monkeypatch, enumerate_faces):
+    """Make the engine enumerate faces with ``enumerate_faces`` and give it
+    an empty face memo, so no face list from before the patch is reused;
+    returns the orders the replacement is called on."""
+    calls = []
+
+    def patched(p):
+        calls.append(p)
+        return enumerate_faces(p)
+
+    monkeypatch.setattr(engine, "distinct_partitions", patched)
+    monkeypatch.setattr(engine, "_MEMO", engine._SideMemo())
+    return calls
+
+
+def stable(report):
+    """A report's value, witness and diagnostics, without the runtime."""
+    witness = None if report.witness is None else \
+        (report.witness.f.tolist(), report.witness.g.tolist())
+    diagnostics = dict(report.diagnostics)
+    diagnostics.pop("runtime_seconds")
+    value = "nan" if math.isnan(report.value) else report.value
+    return value, witness, diagnostics
 
 
 def reference_feasible(weights, vec):
@@ -705,9 +732,10 @@ class TestStructuralProperties:
             rng.shuffle(parts)
             return parts
 
-        monkeypatch.setattr(engine, "distinct_partitions", shuffled)
+        calls = enumerate_with(monkeypatch, shuffled)
         for j, ref in zip(instances, refs):
             for _ in range(3):
+                engine._MEMO.clear()  # a new shuffle for every solve
                 other = cmc_exact(j, *total_orders(j))
                 assert other.value == ref.value
                 assert np.array_equal(other.witness.f, ref.witness.f)
@@ -716,6 +744,7 @@ class TestStructuralProperties:
                             "winning_kind", "winning_index",
                             "winning_orientation", "tie_candidates"):
                     assert other.diagnostics[key] == ref.diagnostics[key]
+        assert len(calls) == 2 * 3 * len(instances)
 
     def test_reports_match_filtered_closure(self, monkeypatch):
         # pruning the cyclic faces never changes a report
@@ -727,8 +756,9 @@ class TestStructuralProperties:
                     for j, px, py in cases for opts in modes]
 
         pruned = run_all()
-        monkeypatch.setattr(engine, "distinct_partitions", closure_partitions)
+        calls = enumerate_with(monkeypatch, closure_partitions)
         full = run_all()
+        assert calls
         keys = ("winning_partition_x", "winning_partition_y", "winning_kind",
                 "winning_index", "winning_orientation")
         for a, b in zip(pruned, full):
@@ -797,8 +827,7 @@ class TestStructuralProperties:
         px, py = total_order(j.x_labels), antichain(j.y_labels)
         listed = {17: distinct_partitions(px), 2: distinct_partitions(py)}
         assert len(listed[17]) == FACE_LIMIT
-        monkeypatch.setattr(engine, "distinct_partitions",
-                            lambda p: listed[p.size])
+        calls = enumerate_with(monkeypatch, lambda p: listed[p.size])
         tracemalloc.start()
         try:
             report = cmc_exact(j, px, py)
@@ -807,6 +836,10 @@ class TestStructuralProperties:
             tracemalloc.stop()
         check_report(j, report)
         assert peak < 60e6
+        assert [p.size for p in calls] == [17, 2]
+        # the 17-chain's 2^16 partitions are more than the memo keeps
+        assert [key[0] for key in engine._MEMO.entries] == [2]
+        assert engine._MEMO.held <= engine.MEMO_PARTITIONS
 
     def test_winning_face_degenerate(self):
         # uniform on the diagonal: the residual spectrum of the unmerged
@@ -821,6 +854,132 @@ class TestStructuralProperties:
         j = random_pmf(rng, 3, 3)
         report = cmc_exact(j, *total_orders(j))
         assert report.diagnostics["winning_face_degenerate"] is False
+
+
+class TestFaceMemo:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_warm_and_cold_memo_give_equal_reports(self, monkeypatch, mode):
+        opts = CmcOptions(mode=mode)
+        cases = filtered_closure_cases()
+        calls = enumerate_with(monkeypatch, distinct_partitions)
+        cold = []
+        for j, px, py in cases:
+            engine._MEMO.clear()
+            cold.append(stable(cmc_exact(j, px, py, opts)))
+        assert len(calls) == 2 * len(cases)
+        for j, px, py in cases:
+            cmc_exact(j, px, py, opts)
+        calls.clear()
+        warm = [stable(cmc_exact(j, px, py, opts)) for j, px, py in cases]
+        assert not calls
+        assert warm == cold
+
+    def test_labels_and_pmf_not_in_key(self, monkeypatch):
+        calls = enumerate_with(monkeypatch, distinct_partitions)
+        rng = np.random.default_rng(72)
+        a = random_pmf(rng, 3, 3)
+        b = joint_pmf(rng.dirichlet(np.ones(9)).reshape(3, 3),
+                      ["p", "q", "r"], ["s", "t", "u"])
+        cmc_exact(a, *total_orders(a))
+        assert len(calls) == 2
+        cmc_exact(b, *total_orders(b))
+        assert len(calls) == 2
+        cmc_exact(b, *total_orders(b), CmcOptions(mode="paper_faithful"))
+        assert len(calls) == 4
+
+    def test_face_limit_in_key(self, monkeypatch):
+        calls = enumerate_with(monkeypatch, distinct_partitions)
+        j = random_pmf(np.random.default_rng(73), 4, 3)
+        cmc_exact(j, *total_orders(j))  # 8 x 4 faces, both sides kept
+        monkeypatch.setattr(engine, "FACE_LIMIT", 7)
+        with pytest.raises(EnumerationTooLarge,
+                           match="4-element order has more than 7"):
+            cmc_exact(j, *total_orders(j))
+        assert len(calls) == 3
+
+    def test_bounded_by_partitions_held(self, monkeypatch):
+        enumerate_with(monkeypatch, distinct_partitions)
+        monkeypatch.setattr(engine, "MEMO_PARTITIONS", 20)
+        rng = np.random.default_rng(74)
+
+        def solve(m, n):
+            j = random_pmf(rng, m, n)
+            cmc_exact(j, *total_orders(j))
+            assert engine._MEMO.held <= 20
+            assert engine._MEMO.held == sum(
+                len(side.parts) for side in engine._MEMO.entries.values())
+            return [key[0] for key in engine._MEMO.entries]
+
+        # least recently used first; a hit moves an order to the end
+        assert solve(4, 3) == [4, 3]     # 8 + 4 partitions
+        assert solve(2, 4) == [3, 4, 2]  # 2 more
+        assert solve(5, 2) == [2, 5]     # 16 more: the 3 and 4 go
+        assert solve(6, 2) == [5, 2]     # 32 partitions are never kept
+
+    def test_threads_keep_the_count(self, monkeypatch):
+        # more threads than cores, switching often, with constant eviction
+        enumerate_with(monkeypatch, distinct_partitions)
+        monkeypatch.setattr(engine, "MEMO_PARTITIONS", 20)
+        chains = [total_order(map(str, range(n))) for n in range(2, 6)]
+        errors = []
+
+        def work(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(500):
+                    a, b = rng.integers(len(chains), size=2)
+                    engine._sides(chains[a], chains[b], bool(seed % 2))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,))
+                       for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert engine._MEMO.held == sum(
+            len(side.parts) for side in engine._MEMO.entries.values())
+        assert engine._MEMO.held <= 20
+
+    def test_stored_arrays_read_only(self, monkeypatch):
+        enumerate_with(monkeypatch, distinct_partitions)
+        for j, px, py in filtered_closure_cases()[:12]:
+            for mode in MODES:
+                cmc_exact(j, px, py, CmcOptions(mode=mode))
+        arrays = []
+        for side in engine._MEMO.entries.values():
+            assert isinstance(side.parts, tuple)
+            for table in side.tables:
+                assert isinstance(table.parts, tuple)
+                arrays += [table.block_of, table.pairs]
+                if table.scores is not None:
+                    arrays.append(table.scores)
+        assert arrays and any(a.ndim == 2 and a.shape[1] >= 2
+                              for a in arrays)
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    def test_refused_instances_keep_nothing(self, monkeypatch):
+        calls = enumerate_with(monkeypatch, distinct_partitions)
+        j8 = joint_pmf(np.full((8, 8), 1 / 64))
+        cube = hypercube(3, j8.x_labels)
+        with pytest.raises(EnumerationTooLarge):  # 404 x 404 faces
+            cmc_exact(j8, cube, hypercube(3, j8.y_labels))
+        j = joint_pmf(np.full((16, 2), 1 / 32))
+        with pytest.raises(EnumerationTooLarge):  # one side alone
+            cmc_exact(j, hypercube(4, j.x_labels), total_order(j.y_labels))
+        assert len(calls) == 3
+        assert not engine._MEMO.entries and engine._MEMO.held == 0
 
 
 class TestMgf:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cmcorr.dist import validate
+from cmcorr.dist import JointPmf
 from cmcorr.errors import CapExceeded, SizeTooLarge
 from cmcorr.harness import (
     example3_min_disagreement,
@@ -16,6 +16,13 @@ from cmcorr.harness import (
     verify_sandwich,
     verify_tensorization,
 )
+
+
+def validate(j):
+    """Re-run the construction-time checks and return the pmf unchanged."""
+    JointPmf(x_labels=j.x_labels, y_labels=j.y_labels, p=j.p,
+             x_values=j.x_values, y_values=j.y_values)
+    return j
 
 
 class TestRandomInstances:

@@ -1,8 +1,11 @@
 import itertools
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from cmcorr.engine import distinct_partitions
 from cmcorr.errors import (
     CycleDetected,
     DuplicateLabel,
@@ -11,12 +14,11 @@ from cmcorr.errors import (
     SizeTooLarge,
 )
 from cmcorr.order import (
-    MergeSelection,
+    BlockPartition,
     Poset,
     antichain,
     enumerate_monotone_boolean,
     is_monotone,
-    merge_partition,
     partition_from_blocks,
     poset_from_pairs,
     product,
@@ -54,6 +56,37 @@ def dense_validate(size, pairs):
     if ((mat @ mat) & ~mat).any():
         raise InputError("relation is not transitively closed")
     return frozenset(pairs)
+
+
+@dataclass(frozen=True)
+class MergeSelection:
+    """A chosen subset of a poset's strict pairs to be forced to equality."""
+
+    pairs: frozenset[tuple[int, int]]
+
+
+def merge_partition(p: Poset, selection: MergeSelection) -> BlockPartition:
+    """Reference: connected components of the selected pairs, via
+    union-find."""
+    if not selection.pairs <= p.strict_pairs:
+        raise InputError("selection contains pairs outside the poset relation")
+    parent = list(range(p.size))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in sorted(selection.pairs):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+
+    groups: dict[int, list[int]] = {}
+    for i in range(p.size):
+        groups.setdefault(find(i), []).append(i)
+    return partition_from_blocks(groups.values(), p.size)
 
 
 def dense_outcome(build):
@@ -147,6 +180,19 @@ class TestConstruction:
         labels = [str(i) for i in range(2000)]
         assert antichain(labels).strict_pairs == frozenset()
         assert poset_from_pairs(labels, ()).size == 2000
+
+    def test_validation_memory_is_linear(self):
+        # an n x n boolean matrix would take 400 MB at 20,000 labels
+        labels = tuple(str(i) for i in range(20000))
+        tracemalloc.start()
+        try:
+            p = Poset(size=len(labels), labels=labels,
+                      strict_pairs=frozenset())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.size == 20000
+        assert peak < 5e6
 
 
 class TestReverse:
@@ -261,6 +307,18 @@ class TestMergePartition:
     def test_canonical_form_validated(self):
         with pytest.raises(InputError):
             partition_from_blocks([[0, 1], [1, 2]], 3)
+
+    def test_faces_are_merges_of_their_inner_pairs(self):
+        # every face's blocks are connected through the strict pairs
+        # inside them
+        orders = [chain(4), reverse(chain(4)), antichain(["a", "b", "c"]),
+                  product(chain(2), chain(3)),
+                  poset_from_pairs("abcd", {(0, 1), (0, 2), (1, 3)})]
+        for p in orders:
+            for face in distinct_partitions(p):
+                inner = frozenset((i, k) for i, k in p.strict_pairs
+                                  if face.block_of[i] == face.block_of[k])
+                assert merge_partition(p, MergeSelection(inner)) == face
 
 
 class TestEnumerateMonotoneBoolean:
