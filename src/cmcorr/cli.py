@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -245,6 +246,9 @@ def cmd_from_samples(args) -> int:
     return EXIT_OK
 
 
+# One parser per process: parsing leaves it unchanged, and callers must not
+# add to it.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmcorr",

@@ -20,7 +20,11 @@ by the gcd.  The grid is therefore built from these canonical integer rows
 (minimum 0, gcd 1), each scaled to the widest member of its class, and the
 rows are enumerated one element at a time along a linear extension rather
 than as a filtered product.  A grid of more than ``GRID_ROW_LIMIT`` integer
-rows is refused, from its exact count, before anything is built.
+rows is refused, from its exact count, before anything is built.  The
+normalized rows are rounded to 12 decimals and kept in generation order,
+unsorted: the rare rows the rounding makes equal cannot change a max, so
+only the restart candidates are deduplicated, and the restarts are the
+first distinct rows by best-response value, then by row.
 
 Every value the oracle reports is the covariance of a feasible monotone
 pair, so it can never exceed the true CMC.
@@ -28,6 +32,7 @@ pair, so it can never exceed the true CMC.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,8 +53,9 @@ _POSET_SIDE_LIMIT = 4
 _CONST_TOL = 1e-12
 # Integer rows one side's grid may hold (min-0 monotone rows of levels
 # 0..1/step).  Every order the side limits admit fits at step 0.02: a
-# 5-chain has 316,251 rows there and a 4-antichain 515,201.  A grid at the
-# limit peaks at about 120 MB traced.
+# 5-chain has 316,251 rows there and a 4-antichain 515,201.  That
+# 4-antichain grid peaks at about 46 MB traced, and the oracle on a
+# 4-antichain x 4-chain at about 69 MB.
 GRID_ROW_LIMIT = 600_000
 # Queries per stack in the pooled best responses: this over faces x symbols,
 # so each array of a stack holds about this many numbers.
@@ -292,18 +298,20 @@ def _level_rows(p: Poset, top: int) -> np.ndarray:
 def _widest_canonical_rows(p: Poset, top: int) -> np.ndarray:
     """One level row per profile class: min 0 and gcd 1, scaled up to top."""
     rows = _level_rows(p, top)
-    rows = rows[np.gcd.reduce(rows, axis=1) == 1]
+    rows = rows[functools.reduce(np.gcd, rows.T) == 1]
     return rows * (top // rows.max(axis=1))[:, None]
 
 
 def _monotone_profiles(p: Poset, weights: np.ndarray, step: float):
-    """Centered, normalized, deduplicated monotone grid profiles.
+    """Centered, normalized monotone grid profiles, in generation order.
 
     One grid row stands for each canonical integer row (min 0, gcd 1): the
     class's widest member on the grid, whose variance is the largest in
     the class, so no class with positive variance is lost to the
     ``_CONST_TOL`` cut.  Its normalized profile is computed exactly as for
-    any grid row, then rounded to 12 decimals and deduplicated.
+    any grid row and rounded to 12 decimals.  The rare rows the rounding
+    makes equal are kept: a max over the rows does not see them, and
+    ``_restart_rows`` deduplicates among the restart candidates only.
     """
     top = int(math.floor(1.0 / step + 1e-9))
     count = _grid_row_count(p, top)
@@ -319,7 +327,31 @@ def _monotone_profiles(p: Poset, weights: np.ndarray, step: float):
     variances = (grid * grid) @ weights
     ok = variances > _CONST_TOL
     normalized = grid[ok] / np.sqrt(variances[ok])[:, None]
-    return np.unique(np.round(normalized, 12), axis=0)
+    return np.round(normalized, 12)
+
+
+def _restart_rows(rows: np.ndarray, values: np.ndarray,
+                  count: int) -> np.ndarray:
+    """Indices of the first ``count`` distinct rows by (-value, row).
+
+    Rows are ordered by value, largest first, then lexicographically, and
+    equal rows count once: the order a stable argsort of the negated values
+    gives over the sorted, deduplicated rows.  Only the rows whose value
+    reaches the ``count``-th largest are sorted; when duplicates leave
+    fewer than ``count`` distinct rows there, the threshold drops to the
+    next smaller value.  Equal rows must have equal values.
+    """
+    kth = len(values) - min(count, len(values))
+    threshold = np.partition(values, kth)[kth]
+    while True:
+        cand = np.flatnonzero(values >= threshold)
+        cand = cand[np.lexsort((*rows[cand].T[::-1], -values[cand]))]
+        fresh = np.ones(len(cand), dtype=bool)
+        fresh[1:] = (rows[cand[1:]] != rows[cand[:-1]]).any(axis=1)
+        picks = cand[fresh]
+        if len(picks) >= count or len(cand) == len(values):
+            return picks[:count]
+        threshold = values[values < threshold].max()
 
 
 def _sweep_and_refine(j: JointPmf, px: Poset, py: Poset,
@@ -336,8 +368,7 @@ def _sweep_and_refine(j: JointPmf, px: Poset, py: Poset,
                              with_g=False)
     best_vals[best_vals == -np.inf] = 0.0  # degenerate rows answer zero
 
-    order = np.argsort(-best_vals, kind="stable")
-    top = order[:cfg.restart_count]
+    top = _restart_rows(profiles, best_vals, cfg.restart_count)
     overall = float(best_vals[top[0]])
 
     both_total = px.is_total() and py.is_total()

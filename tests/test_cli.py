@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ from cmcorr.cli import load_instance, main
 from cmcorr.engine import CmcOptions, cmc_plus
 from cmcorr.errors import NumericalFailure
 from cmcorr.order import product, total_order
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 DSBS_DOC = {
     "x": {"labels": ["0", "1"], "values": [0, 1], "order": "total"},
@@ -303,3 +309,34 @@ class TestFromSamples:
         csv = tmp_path / "samples.csv"
         csv.write_text("a,b\n0,0\n")
         assert main(["from-samples", str(csv)]) == 1
+
+
+class TestRepeatedCalls:
+    """``main`` reuses one parser per process; back-to-back calls must
+    behave as if each ran in a fresh process."""
+
+    def test_matches_fresh_processes(self, dsbs_path, monkeypatch,
+                                     capfdbinary):
+        monkeypatch.setenv("COLUMNS", "80")     # argparse's usage width
+        calls = [
+            (["compute", dsbs_path, "--measure", "all"], 0),
+            (["compute", dsbs_path, "--measure", "bogus"], 1),
+            (["verify", "tensorization", "--seed", "3", "--trials", "2"], 0),
+            (["oracle", dsbs_path, "--step", "0.1"], 0),
+        ]
+        path = filter(None, [SRC, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        script = ("import sys; from cmcorr.cli import main; "
+                  "sys.exit(main(sys.argv[1:]))")
+        fresh = []
+        for argv, code in calls:
+            proc = subprocess.run([sys.executable, "-c", script, *argv],
+                                  capture_output=True, env=env, check=False)
+            assert proc.returncode == code, proc.stderr
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        capfdbinary.readouterr()
+        for _ in range(2):
+            for (argv, _), expected in zip(calls, fresh):
+                code = main(argv)
+                out, err = capfdbinary.readouterr()
+                assert (code, out, err) == expected, argv

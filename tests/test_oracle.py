@@ -355,6 +355,97 @@ class TestMonotoneGrid:
                 grid_oracle(j, *total_orders(j), cfg), abs=1e-12)
 
 
+def sorted_unique_monotone_profiles(p, weights, step):
+    """The former ``_monotone_profiles``: its rows sorted and deduplicated."""
+    top = int(math.floor(1.0 / step + 1e-9))
+    levels = np.minimum(np.arange(top + 1) * step, 1.0)
+    rows = oracle._level_rows(p, top)
+    rows = rows[np.gcd.reduce(rows, axis=1) == 1]
+    grid = levels[rows * (top // rows.max(axis=1))[:, None]]
+    grid -= (grid @ weights)[:, None]
+    variances = (grid * grid) @ weights
+    ok = variances > oracle._CONST_TOL
+    normalized = grid[ok] / np.sqrt(variances[ok])[:, None]
+    return np.unique(np.round(normalized, 12), axis=0)
+
+
+def sorted_unique_restart_rows(rows, values, count):
+    """The former restart rule: sort and deduplicate the rows, then take a
+    stable argsort of the negated values."""
+    _, first = np.unique(rows, axis=0, return_index=True)
+    return first[np.argsort(-values[first], kind="stable")[:count]]
+
+
+class TestRestartRows:
+    @pytest.mark.parametrize("count", (1, 2, 3, 7, 40))
+    def test_matches_sorted_unique_rule(self, count):
+        rng = np.random.default_rng(50 + count)
+        pool = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0])
+        for _ in range(200):
+            width = int(rng.integers(1, 4))
+            distinct = rng.integers(-2, 3, size=(int(rng.integers(1, 12)),
+                                                 width)) * 0.5
+            rows = distinct[rng.integers(len(distinct),
+                                         size=int(rng.integers(1, 30)))]
+            flip = (rows == 0) & (rng.random(rows.shape) < 0.5)
+            rows[flip] = -0.0                       # equal to 0.0 rows
+            # equal rows get equal values, with ties across distinct rows
+            table = {}
+            values = np.array([
+                table.setdefault(tuple(row), pool[rng.integers(len(pool))])
+                for row in rows])
+            values[values == -np.inf] = 0.0         # as the sweep does
+            picks = oracle._restart_rows(rows, values, count)
+            ref = sorted_unique_restart_rows(rows, values, count)
+            assert len(picks) == len(ref) == min(count, len(set(table)))
+            assert (rows[picks] == rows[ref]).all()
+            assert (values[picks] == values[ref]).all()
+
+    def test_profiles_are_the_sorted_unique_rows(self):
+        rng = np.random.default_rng(52)
+        for size, step in ((3, 0.02), (4, 0.05)):
+            for name, p in _orders(size).items():
+                w = rng.dirichlet(np.ones(size))
+                kept = oracle._monotone_profiles(p, w, step)
+                ref = sorted_unique_monotone_profiles(p, w, step)
+                assert (np.unique(kept, axis=0) == ref).all(), name
+
+    @pytest.mark.parametrize("restart_count", (1, 3, 7))
+    def test_oracle_equals_sorted_unique_grid(self, restart_count,
+                                              monkeypatch):
+        rng = np.random.default_rng(53 + restart_count)
+        cfg = OracleConfig(grid_step=0.02, refine_iters=50,
+                           restart_count=restart_count)
+        orders = (
+            total_order,
+            lambda labels: reverse(total_order(labels)),
+            lambda labels: poset_from_pairs(
+                labels, [(0, k) for k in range(1, len(labels))]),
+            antichain,
+        )
+        cases = []
+        for shape in ((2, 5), (3, 3), (3, 4), (4, 4)):
+            # a 4-element vee or antichain grid costs 0.3-0.8 s a call
+            for order in orders[:2] if shape[0] == 4 else orders:
+                p = rng.dirichlet(np.ones(shape[0] * shape[1])
+                                  ).reshape(shape)
+                indep = np.outer(p.sum(axis=1), p.sum(axis=0))
+                sparse = p * (rng.random(shape) < 0.6)
+                k = np.arange(max(shape))     # every symbol keeps some mass
+                sparse[k % shape[0], k % shape[1]] += 0.01
+                for pmf in (p, indep, sparse / sparse.sum()):
+                    j = joint_pmf(pmf)
+                    cases.append((j, order(j.x_labels)))
+        values = [grid_oracle(j, px, total_order(j.y_labels), cfg)
+                  for j, px in cases]
+        monkeypatch.setattr(oracle, "_monotone_profiles",
+                            sorted_unique_monotone_profiles)
+        monkeypatch.setattr(oracle, "_restart_rows",
+                            sorted_unique_restart_rows)
+        for (j, px), value in zip(cases, values):
+            assert value == grid_oracle(j, px, total_order(j.y_labels), cfg)
+
+
 class TestPooledResponder:
     @pytest.mark.parametrize("n,entries", [(2, None), (3, None), (4, None),
                                            (5, None), (4, 1)])
