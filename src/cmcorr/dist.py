@@ -123,7 +123,7 @@ def marginal_y(j: JointPmf) -> np.ndarray:
     return j.p.sum(axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredPair:
     """A pair of real-valued functions on the X and Y alphabets."""
 
@@ -163,7 +163,7 @@ def pair_stats(j: JointPmf, sp: ScoredPair) -> PairStats:
                      var_g=var_g, cov=cov)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorrelationReport:
     """A measure's value plus witness functions and diagnostics.
 
@@ -195,6 +195,32 @@ def check_report(j: JointPmf, report: CorrelationReport,
             stats.cov, report.value)
 
 
+def restrict_to_support(j: JointPmf, message: str):
+    """``j`` restricted to the symbols with positive marginal mass.
+
+    Returns the reduced pmf and the kept original indices per side; when
+    every symbol carries mass, ``j`` itself comes back.  Raises
+    :class:`DegenerateMarginal` with ``message`` when fewer than two
+    symbols carry mass on a side.
+    """
+    keep_x = tuple(i for i, w in enumerate(marginal_x(j)) if w > 0.0)
+    keep_y = tuple(i for i, w in enumerate(marginal_y(j)) if w > 0.0)
+    if len(keep_x) < 2 or len(keep_y) < 2:
+        raise DegenerateMarginal(message)
+    if len(keep_x) == j.shape[0] and len(keep_y) == j.shape[1]:
+        return j, keep_x, keep_y
+    sub = JointPmf(
+        x_labels=tuple(j.x_labels[i] for i in keep_x),
+        y_labels=tuple(j.y_labels[i] for i in keep_y),
+        p=j.p[np.ix_(keep_x, keep_y)],
+        x_values=None if j.x_values is None
+        else tuple(j.x_values[i] for i in keep_x),
+        y_values=None if j.y_values is None
+        else tuple(j.y_values[i] for i in keep_y),
+    )
+    return sub, keep_x, keep_y
+
+
 def strip_zero_support(j: JointPmf, px: Poset, py: Poset):
     """Drop symbols with zero marginal mass and restrict the orders.
 
@@ -206,16 +232,12 @@ def strip_zero_support(j: JointPmf, px: Poset, py: Poset):
     m, n = j.shape
     if px.size != m or py.size != n:
         raise ShapeMismatch("poset sizes do not match the pmf alphabets")
-    keep_x = [i for i, w in enumerate(marginal_x(j)) if w > 0.0]
-    keep_y = [i for i, w in enumerate(marginal_y(j)) if w > 0.0]
-    if len(keep_x) < 2 or len(keep_y) < 2:
-        raise DegenerateMarginal(
-            "fewer than two symbols carry positive mass on one side"
-        )
-    if len(keep_x) == m and len(keep_y) == n:
-        return j, px, py, tuple(keep_x), tuple(keep_y)
+    sub, keep_x, keep_y = restrict_to_support(
+        j, "fewer than two symbols carry positive mass on one side")
+    if sub is j:
+        return j, px, py, keep_x, keep_y
 
-    def restrict(poset: Poset, keep: list[int]) -> Poset:
+    def restrict(poset: Poset, keep: tuple[int, ...]) -> Poset:
         pos = {old: new for new, old in enumerate(keep)}
         pairs = frozenset(
             (pos[i], pos[k]) for i, k in poset.strict_pairs
@@ -225,17 +247,7 @@ def strip_zero_support(j: JointPmf, px: Poset, py: Poset):
                      labels=tuple(poset.labels[i] for i in keep),
                      strict_pairs=pairs)
 
-    sub = JointPmf(
-        x_labels=tuple(j.x_labels[i] for i in keep_x),
-        y_labels=tuple(j.y_labels[i] for i in keep_y),
-        p=j.p[np.ix_(keep_x, keep_y)],
-        x_values=None if j.x_values is None
-        else tuple(j.x_values[i] for i in keep_x),
-        y_values=None if j.y_values is None
-        else tuple(j.y_values[i] for i in keep_y),
-    )
-    return sub, restrict(px, keep_x), restrict(py, keep_y), \
-        tuple(keep_x), tuple(keep_y)
+    return sub, restrict(px, keep_x), restrict(py, keep_y), keep_x, keep_y
 
 
 def merge_pmf(j: JointPmf, bx: BlockPartition, by: BlockPartition) -> JointPmf:

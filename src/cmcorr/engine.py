@@ -13,19 +13,21 @@ f(a) < f(b), so the face of tight pairs has an acyclic quotient order.  The
 engine therefore enumerates only faces whose blocks are connected through
 strict pairs and whose quotient is acyclic (on a chain: the 2^(n-1)
 interval partitions), and keeps every singular-pair candidate whose lift
-back to the original alphabets is monotone.  Faces are solved in stacks
-of one face shape (the block counts kx, ky): the merged pmfs come from
-stacked products with one-hot block matrices, one stacked SVD gives every
-residual spectrum of the stack, and the feasibility, monotonicity and
-covariance checks run on the whole stack at once.  A shape with many
-faces is cut into stacks of bounded size, and each stack is reduced to
-the candidates near the best covariance so far before the next one is
-built, so memory stays bounded.  Kept candidates are feasible by
-construction, so the reported maximum never overshoots the true value.
-Instances with more than ``FACE_LIMIT`` faces are refused before any
-spectral work.  The faces and tables of an order depend on the order
-alone, so those of recently solved orders are kept in a small memo,
-bounded by the number of partitions it holds (``MEMO_PARTITIONS``).
+back to the original alphabets is monotone.  Faces of every shape (the
+block counts kx, ky) are solved together, in stacks padded to the
+alphabet sizes: the merge adds each block's members in index order, and
+the marginals and the feasibility, monotonicity and covariance checks run
+once on the whole stack.  Only the spectral step runs per shape: each
+shape's merged pmfs are renormalized by their own totals and decomposed
+by one stacked SVD.  Many faces are cut into stacks of bounded size, and
+each stack is reduced to the candidates near the best covariance so far
+before the next one is built, so memory stays bounded.  Kept candidates
+are feasible by construction, so the reported maximum never overshoots
+the true value.  Instances with more than ``FACE_LIMIT`` faces are
+refused before any spectral work.  The faces and tables of an order
+depend on the order alone, so those of recently solved orders are kept in
+a small memo, bounded by the number of partitions it holds
+(``MEMO_PARTITIONS``).
 
 Two candidate policies are supported:
 
@@ -44,6 +46,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -281,7 +284,8 @@ def _quotient_scores(lower: np.ndarray, upper: np.ndarray,
     """A deterministic non-constant monotone block function per partition.
 
     ``lower`` and ``upper`` (A, E) hold the blocks of the pair ends in each
-    of A partitions with ``blocks`` blocks.  Uses longest-path depth over
+    of A partitions with at most ``blocks`` blocks; a label no partition
+    uses keeps depth 0.  Uses longest-path depth over
     the cross-block order edges.  With no cross-block edges every
     block-constant function is monotone, so the indicator of the first
     block serves.  The quotient of every enumerated face is acyclic, so a
@@ -309,42 +313,32 @@ def _quotient_scores(lower: np.ndarray, upper: np.ndarray,
 
 
 # About how many numbers one stacked array of a face solve may hold; a
-# larger face group is solved as several stacks, so peak memory is bounded.
+# larger set of faces is solved as several stacks, so peak memory is bounded.
 _STACK_ENTRIES = 2 ** 18
 
 
 @dataclass(frozen=True)
 class _Tables:
-    """The partitions of one side that have k blocks, stacked; every array
-    is read-only, since the tables are kept in the memo (see ``_Side``)."""
+    """The partitions of one side with at least two blocks, stacked by
+    block count and canonically within a count; every array is read-only,
+    since the tables are kept in the memo (see ``_Side``)."""
 
     parts: tuple[BlockPartition, ...]
-    blocks: int           # k
     block_of: np.ndarray  # (A, size) block of each symbol
     pairs: np.ndarray     # (2E,) lower ends of the strict pairs, then upper
-    scores: np.ndarray | None  # (A, k) quotient depths, extended mode only
+    scores: np.ndarray | None  # (A, size) quotient depths, zero past k;
+    #                            extended mode only
+    runs: tuple[tuple[int, int, int], ...]  # (k, start, stop) per count k
 
     def rows(self, start: int, stop: int) -> _Tables:
         """The tables of the partitions ``parts[start:stop]``."""
-        return _Tables(self.parts[start:stop], self.blocks,
-                       self.block_of[start:stop], self.pairs,
+        return _Tables(self.parts[start:stop], self.block_of[start:stop],
+                       self.pairs,
                        None if self.scores is None
-                       else self.scores[start:stop])
-
-    # The one-hot arrays are built per stack and never kept: they are k
-    # times larger than ``block_of``.
-
-    @property
-    def onehot(self) -> np.ndarray:
-        """(A, k, size) block membership."""
-        labels = np.arange(self.blocks)[:, None]
-        return (self.block_of[:, None, :] == labels).astype(float)
-
-    @property
-    def ends(self) -> np.ndarray:
-        """(A, k, 2E) one-hot blocks of the pair ends, lower ends first."""
-        labels = np.arange(self.blocks)[:, None]
-        return (self.block_of[:, None, self.pairs] == labels).astype(float)
+                       else self.scores[start:stop],
+                       tuple((k, max(a, start) - start, min(b, stop) - start)
+                             for k, a, b in self.runs
+                             if a < stop and b > start))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -352,29 +346,31 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _side_tables(p: Poset, parts: Sequence[BlockPartition],
-                 extended: bool) -> list[_Tables]:
-    """The tables of the partitions with at least two blocks, one per block
-    count; a face with a single block on either side has no candidates."""
-    by_count: dict[int, list[BlockPartition]] = {}
-    for part in parts:
-        if len(part.blocks) >= 2:
-            by_count.setdefault(len(part.blocks), []).append(part)
+def _side_table(p: Poset, parts: Sequence[BlockPartition],
+                extended: bool) -> _Tables:
+    """The tables of the partitions with at least two blocks; a face with a
+    single block on either side has no candidates."""
+    group = sorted((q for q in parts if len(q.blocks) >= 2),
+                   key=lambda q: len(q.blocks))
     pairs = np.array(p.pairs_sorted(), dtype=np.intp).reshape(-1, 2).T
     lower, upper = pairs
-    step = max(1, _STACK_ENTRIES // max(1, len(lower)))
-    flat = _frozen(pairs.ravel())
-    tables = []
-    for k, group in sorted(by_count.items()):
-        block_of = _frozen(np.array([q.block_of for q in group],
-                                    dtype=np.intp))
-        scores = _frozen(np.concatenate([
-            _quotient_scores(rows[:, lower], rows[:, upper], k)
+    block_of = _frozen(np.array([q.block_of for q in group],
+                                dtype=np.intp).reshape(len(group), p.size))
+    scores = None
+    if extended:
+        # depths over all ``size`` block labels: a partition has no edge
+        # into the labels past its own k, so their depths stay zero
+        step = max(1, _STACK_ENTRIES // max(1, len(lower)))
+        scores = _frozen(np.concatenate([np.zeros((0, p.size))] + [
+            _quotient_scores(rows[:, lower], rows[:, upper], p.size)
             for rows in (block_of[a:a + step]
                          for a in range(0, len(group), step))
-        ])) if extended else None
-        tables.append(_Tables(tuple(group), k, block_of, flat, scores))
-    return tables
+        ]))
+    counts = [len(q.blocks) for q in group]
+    runs = tuple((k, bisect_left(counts, k), bisect_right(counts, k))
+                 for k in sorted(set(counts)))
+    return _Tables(tuple(group), block_of, _frozen(pairs.ravel()), scores,
+                   runs)
 
 
 # At most this many partitions, summed over the orders, are kept in the
@@ -386,7 +382,7 @@ class _Side(NamedTuple):
     """The faces of one order in canonical order, and their tables."""
 
     parts: tuple[BlockPartition, ...]
-    tables: list[_Tables]
+    table: _Tables
 
 
 class _SideMemo:
@@ -451,44 +447,67 @@ def _sides(px: Poset, py: Poset, extended: bool) -> list[_Side]:
         )
     for i, p in enumerate((px, py)):
         if held[i] is None:
-            held[i] = _Side(parts[i], _side_tables(p, parts[i], extended))
+            held[i] = _Side(parts[i], _side_table(p, parts[i], extended))
             _MEMO.put(keys[i], held[i])
     return held
 
 
-def _stacks(sides_x: list[_Tables], sides_y: list[_Tables]):
-    """Every face, as stacks ``(tx, ty)`` of one face shape (kx, ky) in
-    canonical order, each small enough that no array of its solve holds
-    much more than ``_STACK_ENTRIES`` numbers."""
-    for tx in sides_x:
-        for ty in sides_y:
-            kx, nx, ex = tx.blocks, tx.block_of.shape[1], len(tx.pairs)
-            ky, ny, ey = ty.blocks, ty.block_of.shape[1], len(ty.pairs)
-            # numbers per face (merged pmf, block functions and their
-            # values at the pair ends), per X and per Y partition
-            per_face = kx * ky + min(kx, ky) * (kx + ky + ex + ey)
-            per_x = kx * (nx + ny + ex)
-            per_y = ky * (ny + ey)
-            step_y = max(1, min(len(ty.parts), _STACK_ENTRIES // per_face,
-                                _STACK_ENTRIES // per_y))
-            step_x = max(1, min(_STACK_ENTRIES // (per_face * step_y),
-                                _STACK_ENTRIES // per_x))
-            for a in range(0, len(tx.parts), step_x):
-                sub_x = tx.rows(a, a + step_x)
-                for b in range(0, len(ty.parts), step_y):
-                    yield sub_x, ty.rows(b, b + step_y)
+def _stacks(tx: _Tables, ty: _Tables):
+    """Every face, as stacks ``(tx, ty)`` of consecutive partitions of
+    each side, each small enough that no array of its solve, padded to the
+    alphabet sizes, holds much more than ``_STACK_ENTRIES`` numbers."""
+    nx, ex = tx.block_of.shape[1], len(tx.pairs)
+    ny, ey = ty.block_of.shape[1], len(ty.pairs)
+    # numbers per face (merged pmf, block functions and their values at
+    # the pair ends), per X partition (X-merged rows and pair-end blocks)
+    # and per Y partition
+    per_face = nx * ny + min(nx, ny) * (nx + ny + ex + ey)
+    per_x = nx * ny + ex
+    per_y = ny + ey
+    step_y = max(1, min(len(ty.parts), _STACK_ENTRIES // per_face,
+                        _STACK_ENTRIES // per_y))
+    step_x = max(1, min(_STACK_ENTRIES // (per_face * step_y),
+                        _STACK_ENTRIES // per_x))
+    for a in range(0, len(tx.parts), step_x):
+        sub_x = tx.rows(a, a + step_x)
+        for b in range(0, len(ty.parts), step_y):
+            yield sub_x, ty.rows(b, b + step_y)
+
+
+def _merge(p: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """(Ax, Ay, nx, ny) merged pmfs of the faces ``bx`` x ``by``: entry
+    (r, s) adds the mass of the symbols in X block r and Y block s, and the
+    entries past a face's block counts are zero.
+
+    X blocks are merged first, then Y blocks, each adding its members in
+    index order: the sums of the one-hot product ``Zx p Zy^T``.
+    """
+    ax, nx = bx.shape
+    ay, ny = by.shape
+    target = (np.arange(ax)[:, None] * nx + bx)[..., None] * ny + \
+        np.arange(ny)
+    rows = np.bincount(target.ravel(),
+                       weights=np.broadcast_to(p, target.shape).ravel(),
+                       minlength=ax * nx * ny).reshape(ax, 1, nx, ny)
+    target = np.arange(ax * ay * nx).reshape(ax, ay, nx, 1) * ny + \
+        by[None, :, None, :]
+    return np.bincount(target.ravel(),
+                       weights=np.broadcast_to(rows, target.shape).ravel(),
+                       minlength=ax * ay * nx * ny).reshape(ax, ay, nx, ny)
 
 
 def _monotone(vecs: np.ndarray, ends: np.ndarray, tol: float):
     """:func:`is_monotone` of the lift of each block function in ``vecs``
     and of its negation: no strict pair has f(lower) > f(upper) + tol.
 
-    The one-hot product picks the values at the pair ends exactly, and a
-    pair inside one block compares a value with itself, which passes.  For
-    the negation, -lo > -hi + tol is tested as lo < hi - tol: rounding is
+    ``ends`` holds the blocks of the pair ends, lower ends first.  A pair
+    inside one block compares a value with itself, which passes.  For the
+    negation, -lo > -hi + tol is tested as lo < hi - tol: rounding is
     symmetric, so the two agree bit for bit.
     """
-    picked = vecs @ ends
+    lead = vecs.shape[:-1]
+    picked = np.take(vecs, np.arange(math.prod(lead)).reshape(*lead, 1)
+                     * vecs.shape[-1] + ends)
     half = ends.shape[-1] // 2
     lo, hi = picked[..., :half], picked[..., half:]
     return ~(lo > hi + tol).any(axis=-1), ~(lo < hi - tol).any(axis=-1)
@@ -526,8 +545,8 @@ class _Kept(NamedTuple):
     hit: np.ndarray       # (Ax, Ay, T) kept
     flip: np.ndarray      # (Ax, Ay, T) kept as the global flip of the pair
     cov: np.ndarray       # (Ax, Ay, T) covariance
-    f: np.ndarray         # (Ax, Ay, T, kx) block functions
-    g: np.ndarray         # (Ax, Ay, T, ky)
+    f: np.ndarray         # (Ax, Ay, T, nx) block functions, padded
+    g: np.ndarray         # (Ax, Ay, T, ny)
     tx: _Tables
     ty: _Tables
     ties: np.ndarray      # (Ax, Ay) tied residual gaps per face
@@ -551,37 +570,62 @@ class _Kept(NamedTuple):
 
 
 def _solve_stack(js: JointPmf, tx: _Tables, ty: _Tables, opts: CmcOptions):
-    """Every face of one stack (one shape kx, ky) at once: stacked merge,
-    one stacked SVD, then feasibility, monotone and structural checks.
+    """Every face of one stack at once, whatever its shapes (kx, ky).
+
+    The merge, the marginals and the feasibility, monotone, structural and
+    covariance checks run once on arrays padded to the alphabet sizes; the
+    padded entries carry no mass and their singular indices are masked.
+    Each shape's merged pmfs are renormalized by their own totals and
+    decomposed by one SVD per shape.
 
     Returns ``(kept, checked, degenerate)`` with ``kept`` a list of
     :class:`_Kept`.
     """
     extended = opts.mode == "extended"
     tol = opts.monotone_tol
-    # (Ax, Ay, kx, ky): the merged pmfs, renormalized by their merged total
-    merged = (tx.onehot @ js.p)[:, None] @ \
-        np.swapaxes(ty.onehot, -1, -2)[None]
-    merged /= merged.sum(axis=(-2, -1), keepdims=True)
-    values, left, right = residual_spectra(merged)
-    ties = (np.abs(np.diff(values, axis=-1)) <= opts.tie_tol).sum(axis=-1)
-    wx = merged.sum(axis=-1)[..., None]  # (Ax, Ay, kx, 1) marginals
+    merged = _merge(js.p, tx.block_of, ty.block_of)
+    ax, ay, nx, ny = merged.shape
+    # the longest residual spectrum: the runs ascend in k
+    width = min(tx.runs[-1][0], ty.runs[-1][0]) - 1
+    rows = width if extended else 1
+    values = np.zeros((ax, ay, width))
+    real = np.zeros((ax, ay, width), dtype=bool)  # index within the spectrum
+    left = np.zeros((ax, ay, rows, nx))
+    right = np.zeros((ax, ay, rows, ny))
+    for kx, xa, xb in tx.runs:
+        for ky, ya, yb in ty.runs:
+            # renormalized as a contiguous (kx, ky) block: summed over the
+            # padded layout, the total would round differently
+            sub = np.ascontiguousarray(merged[xa:xb, ya:yb, :kx, :ky])
+            sub /= sub.sum(axis=(-2, -1), keepdims=True)
+            merged[xa:xb, ya:yb, :kx, :ky] = sub
+            v, lv, rv = residual_spectra(sub)
+            r, t = v.shape[-1], min(v.shape[-1], rows)
+            values[xa:xb, ya:yb, :r] = v
+            real[xa:xb, ya:yb, :r] = True
+            left[xa:xb, ya:yb, :t, :kx] = lv[..., :t, :]
+            right[xa:xb, ya:yb, :t, :ky] = rv[..., :t, :]
+    # only neighbours within a face's spectrum can tie
+    ties = ((np.abs(np.diff(values, axis=-1)) <= opts.tie_tol)
+            & real[..., 1:]).sum(axis=-1)
+    # (Ax, Ay, n, 1) marginals; from 8 padded columns on, numpy sums a row
+    # pairwise, so wx may differ in the last bit from a per-shape row sum
+    wx = merged.sum(axis=-1)[..., None]
     wy = merged.sum(axis=-2)[..., None]
-    if not extended:
-        left, right = left[..., :1, :], right[..., :1, :]
-    # (Ax, Ay, T, k): the block functions of singular index t + 2
-    f = left / np.swapaxes(np.sqrt(wx), -1, -2)
-    g = right / np.swapaxes(np.sqrt(wy), -1, -2)
-    feasible = _standardized(wx, f) & _standardized(wy, g)
-    svd = slice(0, f.shape[2])
+    # (Ax, Ay, T, n): the block functions of singular index t + 2; only
+    # the padded blocks have zero mass, and their entries stay zero
+    f = left / np.swapaxes(np.sqrt(np.where(wx > 0.0, wx, 1.0)), -1, -2)
+    g = right / np.swapaxes(np.sqrt(np.where(wy > 0.0, wy, 1.0)), -1, -2)
+    feasible = real[..., :rows] & _standardized(wx, f) & _standardized(wy, g)
+    svd = slice(0, rows)
     if extended:
         # the structural fallback rides along as one more row
         fn, ok_f = _normalize(wx, tx.scores[:, None, None])
         gn, ok_g = _normalize(wy, ty.scores[None, :, None])
         f = np.concatenate([f, fn], axis=2)
         g = np.concatenate([g, gn], axis=2)
-    up_f, down_f = _monotone(f, tx.ends[:, None], tol)
-    up_g, down_g = _monotone(g, ty.ends[None], tol)
+    up_f, down_f = _monotone(f, tx.block_of[:, None, None, tx.pairs], tol)
+    up_g, down_g = _monotone(g, ty.block_of[None, :, None, ty.pairs], tol)
     cov = _cov(merged, wx, wy, f, g)
     kept = []
     checked = 0
@@ -652,7 +696,7 @@ def cmc_exact(j: JointPmf, px: Poset, py: Poset,
     best_cov = -math.inf
     near: list[tuple[Candidate, bool]] = []
     checked = n_kept = degenerate = 0
-    for tx, ty in _stacks(side_x.tables, side_y.tables):
+    for tx, ty in _stacks(side_x.table, side_y.table):
         kept, n, d = _solve_stack(js, tx, ty, opts)
         checked += n
         degenerate += d
@@ -666,6 +710,7 @@ def cmc_exact(j: JointPmf, px: Poset, py: Poset,
     diagnostics = {
         "mode": opts.mode,
         "partitions_enumerated": len(side_x.parts) * len(side_y.parts),
+        "faces_solved": len(side_x.table.parts) * len(side_y.table.parts),
         "candidates_checked": int(checked),
         "candidates_kept": int(n_kept),
         "degenerate_spectra": degenerate,

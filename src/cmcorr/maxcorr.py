@@ -22,9 +22,9 @@ from .dist import (
     marginal_x,
     marginal_y,
     pair_stats,
+    restrict_to_support,
 )
 from .errors import (
-    DegenerateMarginal,
     NonFiniteValue,
     NumericalFailure,
     SizeTooLarge,
@@ -137,26 +137,10 @@ def residual_singular_pairs(j: JointPmf):
     return residual_spectra(j.p)
 
 
-def _strip_support(j: JointPmf):
-    keep_x = [i for i, w in enumerate(marginal_x(j)) if w > 0.0]
-    keep_y = [i for i, w in enumerate(marginal_y(j)) if w > 0.0]
-    if len(keep_x) < 2 or len(keep_y) < 2:
-        raise DegenerateMarginal(
-            "maximal correlation needs two support symbols per side"
-        )
-    if len(keep_x) == j.shape[0] and len(keep_y) == j.shape[1]:
-        return j, keep_x, keep_y
-    sub = JointPmf(
-        x_labels=tuple(j.x_labels[i] for i in keep_x),
-        y_labels=tuple(j.y_labels[i] for i in keep_y),
-        p=j.p[np.ix_(keep_x, keep_y)],
-    )
-    return sub, keep_x, keep_y
-
-
 def maximal_correlation(j: JointPmf) -> CorrelationReport:
     """Second singular value of the Witsenhausen matrix, with witnesses."""
-    sub, keep_x, keep_y = _strip_support(j)
+    sub, keep_x, keep_y = restrict_to_support(
+        j, "maximal correlation needs two support symbols per side")
     values, left, right = residual_singular_pairs(sub)
     lam2 = float(values[0]) if values.size else 0.0
     if lam2 < -1e-8 or lam2 > 1.0 + 1e-8:

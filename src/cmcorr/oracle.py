@@ -20,7 +20,8 @@ by the gcd.  The grid is therefore built from these canonical integer rows
 (minimum 0, gcd 1), each scaled to the widest member of its class, and the
 rows are enumerated one element at a time along a linear extension rather
 than as a filtered product.  A grid of more than ``GRID_ROW_LIMIT`` integer
-rows is refused, from its exact count, before anything is built.  The
+rows, or a two-sided grid of more than ``GRID_PAIR_LIMIT`` row pairs, is
+refused, from the exact counts, before anything is built.  The
 normalized rows are rounded to 12 decimals and kept in generation order,
 unsorted: the rare rows the rounding makes equal cannot change a max, so
 only the restart candidates are deduplicated, and the restarts are the
@@ -57,6 +58,11 @@ _CONST_TOL = 1e-12
 # 4-antichain grid peaks at about 46 MB traced, and the oracle on a
 # 4-antichain x 4-chain at about 69 MB.
 GRID_ROW_LIMIT = 600_000
+# Row pairs (rows of X times rows of Y) the two-sided grid may search.  At
+# the 2.4e8 to 4e8 covariances a second measured on a 2-vCPU Xeon, this
+# caps a call at about a second: a diamond x vee at step 0.02 (118 million
+# pairs) runs, a diamond x diamond there (2.1 billion) does not.
+GRID_PAIR_LIMIT = 200_000_000
 # Queries per stack in the pooled best responses: this over faces x symbols,
 # so each array of a stack holds about this many numbers.
 _POOL_ENTRIES = 1 << 20
@@ -266,6 +272,11 @@ def _grid_row_count(p: Poset, top: int) -> int:
                for k, c in enumerate(onto[1:], start=1))
 
 
+def _grid_top(step: float) -> int:
+    """The highest integer level of the grid at ``step``."""
+    return int(math.floor(1.0 / step + 1e-9))
+
+
 def _level_rows(p: Poset, top: int) -> np.ndarray:
     """Every monotone row of integer levels 0..top along ``p`` with min 0.
 
@@ -313,7 +324,7 @@ def _monotone_profiles(p: Poset, weights: np.ndarray, step: float):
     makes equal are kept: a max over the rows does not see them, and
     ``_restart_rows`` deduplicates among the restart candidates only.
     """
-    top = int(math.floor(1.0 / step + 1e-9))
+    top = _grid_top(step)
     count = _grid_row_count(p, top)
     if count > GRID_ROW_LIMIT:
         raise SizeTooLarge(
@@ -401,6 +412,17 @@ def _sweep_and_refine(j: JointPmf, px: Poset, py: Poset,
 
 def _two_sided_grid(j: JointPmf, px: Poset, py: Poset,
                     cfg: OracleConfig) -> float:
+    """The best covariance over every pair of grid profiles; more than
+    ``GRID_PAIR_LIMIT`` pairs are refused, from the exact row counts,
+    before anything is built."""
+    top = _grid_top(cfg.grid_step)
+    count_x, count_y = _grid_row_count(px, top), _grid_row_count(py, top)
+    if count_x * count_y > GRID_PAIR_LIMIT:
+        raise SizeTooLarge(
+            f"grid step {cfg.grid_step:g} gives {count_x:,} x {count_y:,} "
+            f"monotone row pairs on these orders; the oracle is limited to "
+            f"{GRID_PAIR_LIMIT:,}"
+        )
     fx = _monotone_profiles(px, marginal_x(j), cfg.grid_step)
     gy = _monotone_profiles(py, marginal_y(j), cfg.grid_step)
     if fx.shape[0] == 0 or gy.shape[0] == 0:
@@ -419,8 +441,9 @@ def grid_oracle(j: JointPmf, px: Poset, py: Poset,
 
     With a total order on either side the opposite side is swept on a grid
     and answered exactly; otherwise both sides are gridded.  Alphabets are
-    capped at 5 symbols per total-order side and 4 per general side, and
-    each gridded side at ``GRID_ROW_LIMIT`` integer rows.
+    capped at 5 symbols per total-order side and 4 per general side, each
+    gridded side at ``GRID_ROW_LIMIT`` integer rows and the pairs of two
+    gridded sides at ``GRID_PAIR_LIMIT``.
     """
     js, pxs, pys, _, _ = strip_zero_support(j, px, py)
     for side, total_limit in ((pxs, _TOTAL_SIDE_LIMIT),

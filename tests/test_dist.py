@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cmcorr.dist import (
+    CorrelationReport,
     JointPmf,
     ScoredPair,
     empirical_from_samples,
@@ -80,6 +83,21 @@ class TestMarginals:
         assert marginal_x(j) == pytest.approx([1.0])
 
 
+class TestReports:
+    def test_frozen_without_instance_dict(self):
+        # a caller may hold many reports: each is a frozen object with
+        # slots, no per-instance dict
+        pair = ScoredPair(f=[-1, 1], g=[-1, 1])
+        report = CorrelationReport(measure="cmc", value=0.6, witness=pair)
+        for obj, field in ((pair, "f"), (report, "value")):
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field, None)
+        assert report.diagnostics == {} and report.has_witness
+        moved = dataclasses.replace(report, measure="other")
+        assert moved.measure == "other" and moved.witness is pair
+
+
 class TestPairStats:
     def test_hand_covariance(self):
         j = joint_pmf(DSBS)
@@ -135,7 +153,8 @@ class TestStripZeroSupport:
     def test_degenerate(self):
         j = joint_pmf([[0.5, 0.5], [0.0, 0.0]])
         px, py = total_order(j.x_labels), total_order(j.y_labels)
-        with pytest.raises(DegenerateMarginal):
+        with pytest.raises(DegenerateMarginal,
+                           match="fewer than two symbols carry positive"):
             strip_zero_support(j, px, py)
 
 

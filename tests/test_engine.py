@@ -164,6 +164,40 @@ def discordant_uniform_pair():
     return j, px, py
 
 
+def seeded_instance(rng, kind, px, py):
+    """A pmf of the given kind on the alphabets of ``px`` and ``py``."""
+    m, n = px.size, py.size
+    if kind == "independent":
+        p = np.outer(rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n)))
+    elif kind == "uniform":
+        p = np.full((m, n), 1.0 / (m * n))
+    elif kind == "tiny":
+        p = rng.dirichlet(np.ones(m * n)).reshape(m, n)
+        p[rng.integers(m), rng.integers(n)] = 1e-10
+    elif kind == "sparse":
+        p = rng.dirichlet(np.ones(m * n)).reshape(m, n)
+        p[p < np.median(p) / 2] = 0.0
+    else:
+        p = rng.dirichlet(np.ones(m * n)).reshape(m, n)
+    return joint_pmf(p / p.sum(), px.labels, py.labels), px, py
+
+
+def uneven_cases():
+    """Chains of uneven lengths (5 x 2, 2 x 5, 6 x 3), Y forward and
+    reversed, with random, independent, uniform and 1e-10-mass pmfs: one
+    stack holds faces of many shapes, padded to the alphabet sizes, and
+    degenerate spectra sit next to the padded zeros."""
+    rng = np.random.default_rng(62)
+    cases = []
+    for m, n in ((5, 2), (2, 5), (6, 3)):
+        px = total_order([str(i) for i in range(m)])
+        py = total_order([str(i) for i in range(n)])
+        for kind in ("random", "independent", "uniform", "tiny"):
+            for y_order in (py, reverse(py)):
+                cases.append(seeded_instance(rng, kind, px, y_order))
+    return cases
+
+
 def filtered_closure_cases():
     """Seeded instances over total, reversed, antichain, vee, wedge,
     chain+1 and diamond orders, with random, independent, uniform,
@@ -186,21 +220,7 @@ def filtered_closure_cases():
     }
 
     def instance(kind, px, py):
-        m, n = px.size, py.size
-        if kind == "independent":
-            p = np.outer(rng.dirichlet(np.ones(m)),
-                         rng.dirichlet(np.ones(n)))
-        elif kind == "uniform":
-            p = np.full((m, n), 1.0 / (m * n))
-        elif kind == "tiny":
-            p = rng.dirichlet(np.ones(m * n)).reshape(m, n)
-            p[rng.integers(m), rng.integers(n)] = 1e-10
-        elif kind == "sparse":
-            p = rng.dirichlet(np.ones(m * n)).reshape(m, n)
-            p[p < np.median(p) / 2] = 0.0
-        else:
-            p = rng.dirichlet(np.ones(m * n)).reshape(m, n)
-        return joint_pmf(p / p.sum(), px.labels, py.labels), px, py
+        return seeded_instance(rng, kind, px, py)
 
     rng = np.random.default_rng(61)
     cases = []
@@ -413,11 +433,12 @@ class TestDistinctPartitions:
         if entries is not None:
             monkeypatch.setattr(engine, "_STACK_ENTRIES", entries)
         for p in reference_posets().values():
-            for table in engine._side_tables(p, distinct_partitions(p),
-                                             True):
-                for part, scores in zip(table.parts, table.scores):
-                    assert np.array_equal(
-                        scores, reference_quotient_scores(p, part))
+            table = engine._side_table(p, distinct_partitions(p), True)
+            for part, scores in zip(table.parts, table.scores):
+                k = len(part.blocks)
+                assert np.array_equal(scores[:k],
+                                      reference_quotient_scores(p, part))
+                assert not scores[k:].any()
 
     def test_counts(self):
         for n in range(1, 9):
@@ -778,7 +799,7 @@ class TestStructuralProperties:
         keys = ("winning_partition_x", "winning_partition_y", "winning_kind",
                 "winning_index", "winning_orientation", "candidates_checked",
                 "candidates_kept", "degenerate_spectra", "tie_candidates")
-        for j, px, py in filtered_closure_cases():
+        for j, px, py in filtered_closure_cases() + uneven_cases():
             got = cmc_exact(j, px, py, opts)
             ref = reference_cmc(j, px, py, opts)
             if math.isnan(ref.value):
@@ -817,6 +838,62 @@ class TestStructuralProperties:
             a.diagnostics.pop("runtime_seconds")
             b.diagnostics.pop("runtime_seconds")
             assert a.diagnostics == b.diagnostics
+
+    def test_merge_adds_members_in_index_order(self):
+        # each merged entry is the float sum of its members, X blocks
+        # first, in index order, and the entries past a face's block
+        # counts are zero
+        rng = np.random.default_rng(64)
+        for px, py in ((total_order("abcde"), reverse(total_order("xyz"))),
+                       (hypercube(2), poset_from_pairs("abc", {(0, 1)}))):
+            j = seeded_instance(rng, "random", px, py)[0]
+            tx = engine._side_table(px, distinct_partitions(px), False)
+            ty = engine._side_table(py, distinct_partitions(py), False)
+            merged = engine._merge(j.p, tx.block_of, ty.block_of)
+            for a, bx in enumerate(tx.parts):
+                for b, by in enumerate(ty.parts):
+                    ref = np.zeros((px.size, py.size))
+                    for r, rows in enumerate(bx.blocks):
+                        for s, cols in enumerate(by.blocks):
+                            for col in cols:
+                                total = 0.0
+                                for row in rows:
+                                    total += j.p[row, col]
+                                ref[r, s] += total
+                    assert np.array_equal(merged[a, b], ref)
+
+    def test_wide_antichain_memory_linear(self, monkeypatch):
+        # a one-hot merge of 2,000 singleton blocks alone would take 32 MB
+        rng = np.random.default_rng(76)
+        j = random_pmf(rng, 2000, 2)
+        px, py = antichain(j.x_labels), total_order(j.y_labels)
+        enumerate_with(monkeypatch, distinct_partitions)
+        tracemalloc.start()
+        try:
+            report = cmc_exact(j, px, py)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        check_report(j, report)
+        assert peak < 8e6
+        assert report.value == pytest.approx(
+            maximal_correlation(j).value, abs=1e-9)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_faces_solved_on_chains(self, mode):
+        # the faces with at least two blocks on both sides
+        rng = np.random.default_rng(77)
+        for m, n in ((2, 2), (2, 5), (4, 3), (6, 4)):
+            j = random_pmf(rng, m, n)
+            diag = cmc_exact(j, *total_orders(j),
+                             CmcOptions(mode=mode)).diagnostics
+            assert diag["faces_solved"] == \
+                (2 ** (m - 1) - 1) * (2 ** (n - 1) - 1)
+            assert diag["partitions_enumerated"] == 2 ** (m - 1 + n - 1)
+        j = random_pmf(rng, 4, 3)
+        diag = cmc_exact(j, antichain(j.x_labels),
+                         total_order(j.y_labels)).diagnostics
+        assert diag["faces_solved"] == 3
 
     def test_face_limit_solve_memory_bounded(self, monkeypatch):
         # a 17-chain has 2^16 faces against an antichain, all FACE_LIMIT
@@ -957,11 +1034,11 @@ class TestFaceMemo:
         arrays = []
         for side in engine._MEMO.entries.values():
             assert isinstance(side.parts, tuple)
-            for table in side.tables:
-                assert isinstance(table.parts, tuple)
-                arrays += [table.block_of, table.pairs]
-                if table.scores is not None:
-                    arrays.append(table.scores)
+            table = side.table
+            assert isinstance(table.parts, tuple)
+            arrays += [table.block_of, table.pairs]
+            if table.scores is not None:
+                arrays.append(table.scores)
         assert arrays and any(a.ndim == 2 and a.shape[1] >= 2
                               for a in arrays)
         for a in arrays:

@@ -148,8 +148,17 @@ class TestMaximalCorrelation:
         assert maximal_correlation(j).value == pytest.approx(1.0, abs=1e-10)
 
     def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateMarginal):
+        with pytest.raises(DegenerateMarginal,
+                           match="two support symbols per side"):
             maximal_correlation(joint_pmf([[0.6, 0.4]]))
+
+    def test_zero_mass_symbols_stripped(self):
+        # DSBS with an empty middle symbol on each side
+        j = joint_pmf([[0.4, 0.0, 0.1], [0.0, 0.0, 0.0], [0.1, 0.0, 0.4]])
+        report = maximal_correlation(j)
+        assert report.value == pytest.approx(0.6, abs=1e-12)
+        assert report.diagnostics["support_shape"] == (2, 2)
+        assert report.witness.f[1] == 0.0 and report.witness.g[1] == 0.0
 
     def test_range_on_random_instances(self):
         rng = np.random.default_rng(14)

@@ -529,6 +529,43 @@ class TestGridLimit:
         assert main(["oracle", str(path), "--step", "0.001"]) == 1
         assert "monotone rows" in capsys.readouterr().err
 
+    def test_two_sided_pairs_refused_before_building(self, monkeypatch):
+        # each diamond fits at step 0.02 (45,526 rows), their pairs do not
+        def never(*args):
+            raise AssertionError("grid built")
+        monkeypatch.setattr(oracle, "_level_rows", never)
+        j = joint_pmf(np.full((4, 4), 1 / 16))
+        px = poset_from_pairs(j.x_labels, DIAMOND)
+        py = poset_from_pairs(j.y_labels, DIAMOND)
+        with pytest.raises(SizeTooLarge, match="row pairs"):
+            grid_oracle(j, px, py, OracleConfig(grid_step=0.02))
+        with pytest.raises(SizeTooLarge, match="row pairs"):
+            grid_oracle(j, antichain(j.x_labels), antichain(j.y_labels),
+                        OracleConfig(grid_step=0.05))
+
+    def test_pair_limit_is_on_the_exact_product(self, monkeypatch):
+        j = joint_pmf(DSBS)
+        px, py = antichain(j.x_labels), antichain(j.y_labels)
+        count = oracle._grid_row_count(px, 20)          # step 0.05
+        assert count == 41
+        monkeypatch.setattr(oracle, "GRID_PAIR_LIMIT", count * count)
+        assert grid_oracle(j, px, py) == pytest.approx(0.6, abs=1e-9)
+        monkeypatch.setattr(oracle, "GRID_PAIR_LIMIT", count * count - 1)
+        with pytest.raises(SizeTooLarge, match="row pairs"):
+            grid_oracle(j, px, py)
+
+    def test_two_sided_cli_exits_one(self, tmp_path, capsys):
+        diamond = {"pairs": [list(pair) for pair in DIAMOND]}
+        doc = {
+            "x": {"labels": list("abcd"), "order": diamond},
+            "y": {"labels": list("efgh"), "order": diamond},
+            "pmf": np.full((4, 4), 1 / 16).tolist(),
+        }
+        path = tmp_path / "diamonds.json"
+        path.write_text(json.dumps(doc))
+        assert main(["oracle", str(path), "--step", "0.02"]) == 1
+        assert "row pairs" in capsys.readouterr().err
+
 
 def test_diamond_against_engine():
     rng = np.random.default_rng(39)
