@@ -16,18 +16,19 @@ interval partitions), and keeps every singular-pair candidate whose lift
 back to the original alphabets is monotone.  Faces of every shape (the
 block counts kx, ky) are solved together, in stacks padded to the
 alphabet sizes: the merge adds each block's members in index order, and
-the marginals and the feasibility, monotonicity and covariance checks run
-once on the whole stack.  Only the spectral step runs per shape: each
-shape's merged pmfs are renormalized by their own totals and decomposed
-by one stacked SVD.  Many faces are cut into stacks of bounded size, and
-each stack is reduced to the candidates near the best covariance so far
-before the next one is built, so memory stays bounded.  Kept candidates
-are feasible by construction, so the reported maximum never overshoots
-the true value.  Instances with more than ``FACE_LIMIT`` faces are
-refused before any spectral work.  The faces and tables of an order
-depend on the order alone, so those of recently solved orders are kept in
-a small memo, bounded by the number of partitions it holds
-(``MEMO_PARTITIONS``).
+the marginals, the spectral step's deflation, guards and sign fixing, and
+the feasibility, monotonicity and covariance checks run once on the whole
+stack.  Only each shape's renormalization total and its SVD run per
+shape: a shape's merged pmfs are renormalized by their own totals, and
+its residuals decomposed at their exact size by one stacked SVD.  Many
+faces are cut into stacks of bounded size, and each stack is reduced to
+the candidates near the best covariance so far before the next one is
+built, so memory stays bounded.  Kept candidates are feasible by
+construction, so the reported maximum never overshoots the true value.
+Instances with more than ``FACE_LIMIT`` faces are refused before any
+spectral work.  The faces and tables of an order depend on the order
+alone, so those of recently solved orders are kept in a small memo,
+bounded by the number of partitions it holds (``MEMO_PARTITIONS``).
 
 Two candidate policies are supported:
 
@@ -72,7 +73,7 @@ from .errors import (
     NumericalFailure,
     SOutOfRange,
 )
-from .maxcorr import residual_spectra
+from .maxcorr import padded_residual_spectra
 from .order import (
     BlockPartition,
     Poset,
@@ -142,7 +143,9 @@ def distinct_partitions(p: Poset) -> list[BlockPartition]:
     block.  Different peel orders can give the same partition, so results
     are deduplicated.  On a chain this yields the 2^(n-1) interval
     partitions.  Comparability components are partitioned independently,
-    and every remainder is filled bottom-up without recursion.
+    and every remainder is filled bottom-up without recursion; an element
+    comparable to nothing is a block of its own in every face, so such
+    elements skip the components and are added once, as singletons.
 
     Raises :class:`EnumerationTooLarge` as soon as any count shows that
     this side alone has more than ``FACE_LIMIT`` partitions.  Every
@@ -260,7 +263,8 @@ def distinct_partitions(p: Poset) -> list[BlockPartition]:
         check(len(out))
         return out
 
-    comps, rest = [], (1 << n) - 1
+    singles = [[i] for i in range(n) if not near[i]]
+    comps, rest = [], sum(1 << i for i in range(n) if near[i])
     while rest:
         comps.append(component(rest))
         rest &= ~comps[-1]
@@ -275,7 +279,7 @@ def distinct_partitions(p: Poset) -> list[BlockPartition]:
         own = fill(faces, comp, lambda rest: rest, partitions)
         check(len(parts) * len(own))
         parts = [a + b for a in parts for b in own]
-    return sorted((partition_from_blocks(map(bits, part), n)
+    return sorted((partition_from_blocks([*map(bits, part), *singles], n)
                    for part in parts), key=lambda q: q.blocks)
 
 
@@ -496,19 +500,23 @@ def _merge(p: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
                        minlength=ax * ay * nx * ny).reshape(ax, ay, nx, ny)
 
 
-def _monotone(vecs: np.ndarray, ends: np.ndarray, tol: float):
+def _monotone(vecs: np.ndarray, block_of: np.ndarray, pairs: np.ndarray,
+              tol: float):
     """:func:`is_monotone` of the lift of each block function in ``vecs``
     and of its negation: no strict pair has f(lower) > f(upper) + tol.
 
-    ``ends`` holds the blocks of the pair ends, lower ends first.  A pair
-    inside one block compares a value with itself, which passes.  For the
-    negation, -lo > -hi + tol is tested as lo < hi - tol: rounding is
-    symmetric, so the two agree bit for bit.
+    ``block_of`` holds the block of each symbol, broadcasting against the
+    leading axes of ``vecs``; ``pairs`` the lower ends of the strict pairs,
+    then their upper ends.  Each function is lifted to the symbols once,
+    and the pair ends are read off the lift.  A pair inside one block
+    compares a value with itself, which passes.  For the negation,
+    -lo > -hi + tol is tested as lo < hi - tol: rounding is symmetric, so
+    the two agree bit for bit.
     """
     lead = vecs.shape[:-1]
     picked = np.take(vecs, np.arange(math.prod(lead)).reshape(*lead, 1)
-                     * vecs.shape[-1] + ends)
-    half = ends.shape[-1] // 2
+                     * vecs.shape[-1] + block_of)[..., pairs]
+    half = len(pairs) // 2
     lo, hi = picked[..., :half], picked[..., half:]
     return ~(lo > hi + tol).any(axis=-1), ~(lo < hi - tol).any(axis=-1)
 
@@ -572,11 +580,12 @@ class _Kept(NamedTuple):
 def _solve_stack(js: JointPmf, tx: _Tables, ty: _Tables, opts: CmcOptions):
     """Every face of one stack at once, whatever its shapes (kx, ky).
 
-    The merge, the marginals and the feasibility, monotone, structural and
-    covariance checks run once on arrays padded to the alphabet sizes; the
-    padded entries carry no mass and their singular indices are masked.
-    Each shape's merged pmfs are renormalized by their own totals and
-    decomposed by one SVD per shape.
+    The merge, the spectral pass (:func:`padded_residual_spectra`) and the
+    feasibility, monotone, structural and covariance checks run once on
+    arrays padded to the alphabet sizes; the padded entries carry no mass
+    and their singular indices are masked.  Per shape only the
+    renormalization total of its merged pmfs is taken and, inside the
+    spectral pass, one SVD.
 
     Returns ``(kept, checked, degenerate)`` with ``kept`` a list of
     :class:`_Kept`.
@@ -585,26 +594,18 @@ def _solve_stack(js: JointPmf, tx: _Tables, ty: _Tables, opts: CmcOptions):
     tol = opts.monotone_tol
     merged = _merge(js.p, tx.block_of, ty.block_of)
     ax, ay, nx, ny = merged.shape
-    # the longest residual spectrum: the runs ascend in k
-    width = min(tx.runs[-1][0], ty.runs[-1][0]) - 1
-    rows = width if extended else 1
-    values = np.zeros((ax, ay, width))
-    real = np.zeros((ax, ay, width), dtype=bool)  # index within the spectrum
-    left = np.zeros((ax, ay, rows, nx))
-    right = np.zeros((ax, ay, rows, ny))
+    totals = np.empty((ax, ay, 1, 1))
     for kx, xa, xb in tx.runs:
         for ky, ya, yb in ty.runs:
-            # renormalized as a contiguous (kx, ky) block: summed over the
-            # padded layout, the total would round differently
-            sub = np.ascontiguousarray(merged[xa:xb, ya:yb, :kx, :ky])
-            sub /= sub.sum(axis=(-2, -1), keepdims=True)
-            merged[xa:xb, ya:yb, :kx, :ky] = sub
-            v, lv, rv = residual_spectra(sub)
-            r, t = v.shape[-1], min(v.shape[-1], rows)
-            values[xa:xb, ya:yb, :r] = v
-            real[xa:xb, ya:yb, :r] = True
-            left[xa:xb, ya:yb, :t, :kx] = lv[..., :t, :]
-            right[xa:xb, ya:yb, :t, :ky] = rv[..., :t, :]
+            # the total of a contiguous (kx, ky) block: summed over the
+            # padded layout, it would round differently
+            totals[xa:xb, ya:yb] = np.ascontiguousarray(
+                merged[xa:xb, ya:yb, :kx, :ky]).sum(axis=(-2, -1),
+                                                    keepdims=True)
+    merged /= totals
+    values, real, left, right = padded_residual_spectra(
+        merged, tx.runs, ty.runs, None if extended else 1)
+    rows = left.shape[2]
     # only neighbours within a face's spectrum can tie
     ties = ((np.abs(np.diff(values, axis=-1)) <= opts.tie_tol)
             & real[..., 1:]).sum(axis=-1)
@@ -624,8 +625,8 @@ def _solve_stack(js: JointPmf, tx: _Tables, ty: _Tables, opts: CmcOptions):
         gn, ok_g = _normalize(wy, ty.scores[None, :, None])
         f = np.concatenate([f, fn], axis=2)
         g = np.concatenate([g, gn], axis=2)
-    up_f, down_f = _monotone(f, tx.block_of[:, None, None, tx.pairs], tol)
-    up_g, down_g = _monotone(g, ty.block_of[None, :, None, ty.pairs], tol)
+    up_f, down_f = _monotone(f, tx.block_of[:, None, None], tx.pairs, tol)
+    up_g, down_g = _monotone(g, ty.block_of[None, :, None], ty.pairs, tol)
     cov = _cov(merged, wx, wy, f, g)
     kept = []
     checked = 0

@@ -11,6 +11,7 @@ numerical SVD (see :func:`residual_singular_pairs`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +54,19 @@ class SvdBundle:
             self.right_vectors
 
 
-def _normalized(p: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    if (px <= 0.0).any() or (py <= 0.0).any():
+def _normalized(p: np.ndarray, px: np.ndarray, py: np.ndarray,
+               pad_x: int = 0, pad_y: int = 0) -> np.ndarray:
+    """p / sqrt(px py) for marginals ``px``, ``py`` of which exactly
+    ``pad_x`` and ``pad_y`` entries are padding with zero mass; the
+    padded entries of the result are zero.  Every other marginal must be
+    strictly positive."""
+    if np.count_nonzero(px <= 0.0) > pad_x or \
+            np.count_nonzero(py <= 0.0) > pad_y:
         raise ZeroMarginal("strip zero-mass symbols before normalizing")
+    if pad_x:
+        px = np.where(px == 0.0, 1.0, px)
+    if pad_y:
+        py = np.where(py == 0.0, 1.0, py)
     return p / np.sqrt(px[..., :, None] * py[..., None, :])
 
 
@@ -81,19 +92,31 @@ def _fix_signs(left: np.ndarray, right: np.ndarray) -> None:
     right *= sign
 
 
+def _check(arr: np.ndarray, entries: int) -> None:
+    """The guards of every decomposition: finite entries, and at most
+    ``_SIZE_LIMIT`` entries in each matrix decomposed."""
+    if not np.isfinite(arr).all():
+        raise NonFiniteValue("matrix entries must be finite")
+    if entries > _SIZE_LIMIT:
+        raise SizeTooLarge(f"matrix has more than {_SIZE_LIMIT} entries")
+
+
+def _lapack(arr: np.ndarray):
+    """``np.linalg.svd(arr, full_matrices=False)``, with a failure to
+    converge raised as :class:`NumericalFailure`."""
+    try:
+        return np.linalg.svd(arr, full_matrices=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+
+
 def _svd(arr: np.ndarray):
     """Thin SVD of every matrix in ``arr[..., m, n]``, signs fixed.
 
     Returns ``(values, left, right)`` with the singular vectors as rows.
     """
-    if not np.isfinite(arr).all():
-        raise NonFiniteValue("matrix entries must be finite")
-    if arr.shape[-2] * arr.shape[-1] > _SIZE_LIMIT:
-        raise SizeTooLarge(f"matrix has more than {_SIZE_LIMIT} entries")
-    try:
-        u, s, vt = np.linalg.svd(arr, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+    _check(arr, arr.shape[-2] * arr.shape[-1])
+    u, s, vt = _lapack(arr)
     left = np.ascontiguousarray(np.swapaxes(u, -1, -2))
     _fix_signs(left, vt)
     return s, left, vt
@@ -109,20 +132,75 @@ def decompose(m) -> SvdBundle:
                      right_vectors=right)
 
 
+def padded_residual_spectra(p: np.ndarray, runs_x, runs_y,
+                            rows: int | None = None):
+    """:func:`residual_spectra` of every face in a padded stack at once.
+
+    ``p[a, b]`` (Ax, Ay, nx, ny) holds a normalized pmf in its leading
+    (kx, ky) block and zeros past it.  ``runs_x`` lists ``(kx, start,
+    stop)`` in order, covering ``range(Ax)``: the faces ``a`` in
+    ``[start, stop)`` have kx X blocks; ``runs_y`` does the same for ``b``
+    and ky.  The marginals, the deflated residual, the guards and the sign
+    fixing run once on the padded stack; only the SVD runs per shape
+    (kx, ky), on that shape's contiguous blocks, so a face gets the bits
+    it would get alone.
+
+    Returns ``(values, real, left, right)`` of shapes (Ax, Ay, r),
+    (Ax, Ay, r), (Ax, Ay, t, nx) and (Ax, Ay, t, ny), where r is the
+    longest residual spectrum min(kx, ky) - 1 of the stack and t is
+    ``rows`` (default r).  ``real`` marks the indices within each face's
+    own spectrum; every other entry is zero.
+    """
+    ax, ay, nx, ny = p.shape
+    # a marginal sums only a face's own k entries: summed over the padded
+    # layout, it would round differently from 8 entries on
+    px = np.concatenate([p[:, ya:yb, :, :ky].sum(axis=-1)
+                         for ky, ya, yb in runs_y], axis=1)
+    py = np.concatenate([p[xa:xb, :, :kx].sum(axis=-2)
+                         for kx, xa, xb in runs_x])
+    real_x = ay * sum((b - a) * k for k, a, b in runs_x)
+    real_y = ax * sum((b - a) * k for k, a, b in runs_y)
+    top = np.sqrt(px)[..., :, None] * np.sqrt(py)[..., None, :]
+    resid = _normalized(p, px, py, px.size - real_x, py.size - real_y) - top
+    max_x = max(k for k, _, _ in runs_x)
+    max_y = max(k for k, _, _ in runs_y)
+    _check(resid, max_x * max_y)
+    width = min(max_x, max_y) - 1
+    rows = width if rows is None else rows
+    values = np.zeros((ax, ay, width))
+    real = np.zeros((ax, ay, width), dtype=bool)
+    left = np.zeros((ax, ay, rows, nx))
+    right = np.zeros((ax, ay, rows, ny))
+    for kx, xa, xb in runs_x:
+        for ky, ya, yb in runs_y:
+            u, s, vt = _lapack(np.ascontiguousarray(
+                resid[xa:xb, ya:yb, :kx, :ky]))
+            r = min(kx, ky) - 1
+            t = min(r, rows)
+            values[xa:xb, ya:yb, :r] = s[..., :r]
+            real[xa:xb, ya:yb, :r] = True
+            left[xa:xb, ya:yb, :t, :kx] = np.swapaxes(u[..., :t], -1, -2)
+            right[xa:xb, ya:yb, :t, :ky] = vt[..., :t, :]
+    # trailing zeros never decide a sign, so the padding changes nothing
+    _fix_signs(left, right)
+    return values, real, left, right
+
+
 def residual_spectra(p: np.ndarray):
     """:func:`residual_singular_pairs` for a stack of pmf matrices.
 
     ``p[..., m, n]`` holds normalized pmfs with positive marginals, all
-    decomposed by one stacked SVD.  Returns ``(values, left, right)`` of
+    decomposed by one stacked SVD: the single-shape case of
+    :func:`padded_residual_spectra`.  Returns ``(values, left, right)`` of
     shapes ``(..., r)``, ``(..., r, m)`` and ``(..., r, n)``, where
     r = min(m, n) - 1.
     """
-    px = p.sum(axis=-1)
-    py = p.sum(axis=-2)
-    top = np.sqrt(px)[..., :, None] * np.sqrt(py)[..., None, :]
-    values, left, right = _svd(_normalized(p, px, py) - top)
-    keep = min(p.shape[-2:]) - 1
-    return values[..., :keep], left[..., :keep, :], right[..., :keep, :]
+    *lead, m, n = p.shape
+    r = min(m, n) - 1
+    values, _, left, right = padded_residual_spectra(
+        p.reshape(1, -1, m, n), ((m, 0, 1),), ((n, 0, math.prod(lead)),))
+    return (values.reshape(*lead, r), left.reshape(*lead, r, m),
+            right.reshape(*lead, r, n))
 
 
 def residual_singular_pairs(j: JointPmf):

@@ -66,6 +66,10 @@ GRID_PAIR_LIMIT = 200_000_000
 # Queries per stack in the pooled best responses: this over faces x symbols,
 # so each array of a stack holds about this many numbers.
 _POOL_ENTRIES = 1 << 20
+# Covariances per chunk of the two-sided grid, so the chunk's array holds
+# 8 MB: a diamond x vee at step 0.02 peaks at 18 MB traced (161 MB with
+# chunks of ten million).
+_PAIR_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -428,7 +432,7 @@ def _two_sided_grid(j: JointPmf, px: Poset, py: Poset,
     if fx.shape[0] == 0 or gy.shape[0] == 0:
         raise InputError("no non-constant monotone profile exists")
     best = -np.inf
-    chunk = max(1, 10_000_000 // max(gy.shape[0], 1))
+    chunk = max(1, _PAIR_CHUNK // max(gy.shape[0], 1))
     for a in range(0, fx.shape[0], chunk):
         covs = fx[a:a + chunk] @ j.p @ gy.T
         best = max(best, float(covs.max()))

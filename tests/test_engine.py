@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -37,9 +38,15 @@ from cmcorr.errors import (
     EnumerationTooLarge,
     InputError,
     MissingValues,
+    SizeTooLarge,
     SOutOfRange,
 )
-from cmcorr.maxcorr import maximal_correlation, residual_singular_pairs
+import cmcorr.maxcorr as maxcorr
+from cmcorr.maxcorr import (
+    maximal_correlation,
+    residual_singular_pairs,
+    residual_spectra,
+)
 from cmcorr.oracle import OracleConfig, grid_oracle
 from cmcorr.order import (
     antichain,
@@ -298,6 +305,39 @@ def reference_quotient_scores(p, part):
     return depth
 
 
+def reference_residual_spectra(p):
+    """The per-shape spectral step before the padded pass: marginals,
+    deflation, SVD and sign fixing on one shape's contiguous stack."""
+    px = p.sum(axis=-1)
+    py = p.sum(axis=-2)
+    top = np.sqrt(px)[..., :, None] * np.sqrt(py)[..., None, :]
+    u, s, vt = np.linalg.svd(
+        p / np.sqrt(px[..., :, None] * py[..., None, :]) - top,
+        full_matrices=False)
+    left = np.ascontiguousarray(np.swapaxes(u, -1, -2))
+    maxcorr._fix_signs(left, vt)
+    keep = min(p.shape[-2:]) - 1
+    return s[..., :keep], left[..., :keep, :], vt[..., :keep, :]
+
+
+def spectral_cases():
+    """Chains of 3 to 6 symbols, 5 x 2, 2 x 5, 6 x 3, 8 x 3, 3 x 8 and
+    9 x 4, Y forward and reversed, with independent, uniform and
+    1e-10-mass pmfs: stacks of one to many shapes, and from 8 symbols on a
+    padded sum would round differently from a face's own."""
+    rng = np.random.default_rng(63)
+    sizes = [(m, m) for m in range(3, 7)] + [(5, 2), (2, 5), (6, 3),
+                                             (8, 3), (3, 8), (9, 4)]
+    cases = []
+    for m, n in sizes:
+        px = total_order([str(i) for i in range(m)])
+        py = total_order([str(i) for i in range(n)])
+        for kind in ("independent", "uniform", "tiny"):
+            for y_order in (py, reverse(py)):
+                cases.append(seeded_instance(rng, kind, px, y_order))
+    return cases
+
+
 def reference_face_candidates(js, pxs, pys, bx, by, opts):
     """The per-face solver the batched one replaced: one merged JointPmf,
     one SVD and Python monotone checks per face."""
@@ -482,6 +522,25 @@ class TestDistinctPartitions:
         parts = distinct_partitions(antichain([str(i) for i in range(1200)]))
         assert len(parts) == 1
         assert parts[0].is_trivial()
+
+    def test_isolated_elements_added_once(self):
+        start = time.perf_counter()
+        parts = distinct_partitions(antichain([str(i) for i in range(8000)]))
+        assert time.perf_counter() - start < 0.5
+        assert len(parts) == 1
+        assert parts[0].is_trivial()
+
+    @pytest.mark.parametrize("pairs", [
+        {(1, 2), (2, 3)},                  # a chain between two isolated
+        {(0, 2), (0, 4), (5, 6)},          # a vee and an edge, 1 and 3 alone
+        {(2, 0), (4, 2), (4, 0)},          # a reversed chain, 1 and 3 alone
+        {(1, 3), (1, 4), (3, 6), (4, 6)},  # a diamond, 0, 2 and 5 alone
+    ])
+    def test_isolated_elements_match_closure(self, pairs):
+        size = 1 + max(max(pair) for pair in pairs)
+        p = poset_from_pairs([str(i) for i in range(size)], pairs)
+        assert [q.blocks for q in distinct_partitions(p)] == \
+            [q.blocks for q in closure_partitions(p)]
 
     @pytest.mark.parametrize("reversed_", [False, True])
     def test_wide_star_refused_before_listing(self, reversed_):
@@ -838,6 +897,61 @@ class TestStructuralProperties:
             a.diagnostics.pop("runtime_seconds")
             b.diagnostics.pop("runtime_seconds")
             assert a.diagnostics == b.diagnostics
+
+    @pytest.mark.parametrize("entries", ["default", 1])
+    def test_padded_spectra_match_per_shape(self, monkeypatch, entries):
+        # the stacked spectral step gives every face the values, vectors
+        # and real mask of a per-shape decomposition of its contiguous
+        # blocks, to the bit; zeros stand everywhere past them
+        if entries != "default":
+            monkeypatch.setattr(engine, "_STACK_ENTRIES", entries)
+        padded = maxcorr.padded_residual_spectra
+        shapes = set()
+
+        def checked(p, runs_x, runs_y, rows=None):
+            values, real, left, right = padded(p, runs_x, runs_y, rows)
+            want_values = np.zeros_like(values)
+            want_real = np.zeros_like(real)
+            want_left = np.zeros_like(left)
+            want_right = np.zeros_like(right)
+            for kx, xa, xb in runs_x:
+                for ky, ya, yb in runs_y:
+                    shapes.add((kx, ky))
+                    block = np.ascontiguousarray(p[xa:xb, ya:yb, :kx, :ky])
+                    ref = reference_residual_spectra(block)
+                    for got in (residual_spectra(block), ref):
+                        assert all(np.array_equal(a, b)
+                                   for a, b in zip(got, ref))
+                    v, lv, rv = ref
+                    r, t = v.shape[-1], min(v.shape[-1], left.shape[2])
+                    want_values[xa:xb, ya:yb, :r] = v
+                    want_real[xa:xb, ya:yb, :r] = True
+                    want_left[xa:xb, ya:yb, :t, :kx] = lv[..., :t, :]
+                    want_right[xa:xb, ya:yb, :t, :ky] = rv[..., :t, :]
+            assert np.array_equal(values, want_values)
+            assert np.array_equal(real, want_real)
+            assert np.array_equal(left, want_left)
+            assert np.array_equal(right, want_right)
+            return values, real, left, right
+
+        monkeypatch.setattr(engine, "padded_residual_spectra", checked)
+        cases, modes = spectral_cases(), MODES
+        if entries != "default":
+            # one face per stack: the 1e-10-mass pmfs in extended mode,
+            # without the 9 x 4 chains, keep the run short
+            cases, modes = cases[4:-6:6] + cases[5:-6:6], ["extended"]
+        for j, px, py in cases:
+            for mode in modes:
+                cmc_exact(j, px, py, CmcOptions(mode=mode))
+        assert {(8, 3), (3, 8), (2, 5), (6, 6)} <= shapes
+
+    def test_wide_antichain_matrix_too_large(self, monkeypatch):
+        # 2,100 singleton blocks against 2 make a 4,200-entry face
+        rng = np.random.default_rng(77)
+        j = random_pmf(rng, 2100, 2)
+        enumerate_with(monkeypatch, distinct_partitions)
+        with pytest.raises(SizeTooLarge, match="4096 entries"):
+            cmc_exact(j, antichain(j.x_labels), total_order(j.y_labels))
 
     def test_merge_adds_members_in_index_order(self):
         # each merged entry is the float sum of its members, X blocks

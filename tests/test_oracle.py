@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -553,6 +554,24 @@ class TestGridLimit:
         monkeypatch.setattr(oracle, "GRID_PAIR_LIMIT", count * count - 1)
         with pytest.raises(SizeTooLarge, match="row pairs"):
             grid_oracle(j, px, py)
+
+    def test_two_sided_memory_bounded(self, monkeypatch):
+        # a diamond x vee at step 0.02 searches 118 million row pairs;
+        # chunks of ten million covariances peaked at 161 MB traced
+        rng = np.random.default_rng(41)
+        j = random_pmf(rng, 4, 3)
+        px = poset_from_pairs(j.x_labels, DIAMOND)
+        py = poset_from_pairs(j.y_labels, [(0, 1), (0, 2)])
+        cfg = OracleConfig(grid_step=0.02)
+        tracemalloc.start()
+        try:
+            value = grid_oracle(j, px, py, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        monkeypatch.setattr(oracle, "_PAIR_CHUNK", 10_000_000)
+        assert grid_oracle(j, px, py, cfg) == value
 
     def test_two_sided_cli_exits_one(self, tmp_path, capsys):
         diamond = {"pairs": [list(pair) for pair in DIAMOND]}
