@@ -62,7 +62,7 @@ from .maxcorr import (
     residual_singular_pairs,
     witsenhausen_matrix,
 )
-from .oracle import OracleConfig, best_response_g, grid_oracle, pava_isotonic
+from .oracle import OracleConfig, grid_oracle
 from .order import (
     BlockPartition,
     Poset,

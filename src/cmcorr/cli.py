@@ -305,11 +305,8 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (InputError, OSError, json.JSONDecodeError, KeyError,
-            StopIteration) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (ValueError, OSError, KeyError, StopIteration) as exc:
+        # InputError and json.JSONDecodeError are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -75,6 +75,7 @@ from .errors import (
 )
 from .maxcorr import padded_residual_spectra
 from .order import (
+    MONOTONE_TOL,
     BlockPartition,
     Poset,
     bits,
@@ -86,6 +87,9 @@ MODES = ("paper_faithful", "extended")
 
 _FEASIBILITY_TOL = 1e-8
 _VALUE_GUARD = 1e-8
+# Candidates within this of the best covariance tie, and so do neighbouring
+# residual singular values of a face (its spectrum is then degenerate).
+TIE_TOL = 1e-9
 
 # Largest face count |parts_x| * |parts_y| the engine will solve.
 FACE_LIMIT = 2 ** 16
@@ -93,21 +97,18 @@ FACE_LIMIT = 2 ** 16
 
 @dataclass(frozen=True)
 class CmcOptions:
-    """Knobs for the exact engine: the candidate policy and tolerances.
+    """The exact engine's one knob: the candidate policy, one of ``MODES``.
 
-    The size guard is not an option: instances with more than
-    ``FACE_LIMIT`` faces raise :class:`EnumerationTooLarge`.
+    The tolerances are fixed (``order.MONOTONE_TOL`` for the monotone
+    check, ``TIE_TOL`` for ties), and so is the size guard: instances with
+    more than ``FACE_LIMIT`` faces raise :class:`EnumerationTooLarge`.
     """
 
     mode: str = "extended"
-    monotone_tol: float = 1e-9
-    tie_tol: float = 1e-9
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise InputError(f"unknown mode {self.mode!r}")
-        if self.monotone_tol < 0 or self.tie_tol < 0:
-            raise InputError("tolerances must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -500,10 +501,10 @@ def _merge(p: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
                        minlength=ax * ay * nx * ny).reshape(ax, ay, nx, ny)
 
 
-def _monotone(vecs: np.ndarray, block_of: np.ndarray, pairs: np.ndarray,
-              tol: float):
+def _monotone(vecs: np.ndarray, block_of: np.ndarray, pairs: np.ndarray):
     """:func:`is_monotone` of the lift of each block function in ``vecs``
-    and of its negation: no strict pair has f(lower) > f(upper) + tol.
+    and of its negation: no strict pair has f(lower) > f(upper) + tol,
+    where tol is ``MONOTONE_TOL``.
 
     ``block_of`` holds the block of each symbol, broadcasting against the
     leading axes of ``vecs``; ``pairs`` the lower ends of the strict pairs,
@@ -518,7 +519,8 @@ def _monotone(vecs: np.ndarray, block_of: np.ndarray, pairs: np.ndarray,
                      * vecs.shape[-1] + block_of)[..., pairs]
     half = len(pairs) // 2
     lo, hi = picked[..., :half], picked[..., half:]
-    return ~(lo > hi + tol).any(axis=-1), ~(lo < hi - tol).any(axis=-1)
+    return (~(lo > hi + MONOTONE_TOL).any(axis=-1),
+            ~(lo < hi - MONOTONE_TOL).any(axis=-1))
 
 
 def _standardized(weights: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -591,7 +593,6 @@ def _solve_stack(js: JointPmf, tx: _Tables, ty: _Tables, opts: CmcOptions):
     :class:`_Kept`.
     """
     extended = opts.mode == "extended"
-    tol = opts.monotone_tol
     merged = _merge(js.p, tx.block_of, ty.block_of)
     ax, ay, nx, ny = merged.shape
     totals = np.empty((ax, ay, 1, 1))
@@ -603,30 +604,30 @@ def _solve_stack(js: JointPmf, tx: _Tables, ty: _Tables, opts: CmcOptions):
                 merged[xa:xb, ya:yb, :kx, :ky]).sum(axis=(-2, -1),
                                                     keepdims=True)
     merged /= totals
-    values, real, left, right = padded_residual_spectra(
-        merged, tx.runs, ty.runs, None if extended else 1)
-    rows = left.shape[2]
+    values, real, left, right, wx, wy = padded_residual_spectra(
+        merged, tx.runs, ty.runs)
     # only neighbours within a face's spectrum can tie
-    ties = ((np.abs(np.diff(values, axis=-1)) <= opts.tie_tol)
+    ties = ((np.abs(np.diff(values, axis=-1)) <= TIE_TOL)
             & real[..., 1:]).sum(axis=-1)
-    # (Ax, Ay, n, 1) marginals; from 8 padded columns on, numpy sums a row
-    # pairwise, so wx may differ in the last bit from a per-shape row sum
-    wx = merged.sum(axis=-1)[..., None]
-    wy = merged.sum(axis=-2)[..., None]
+    # paper_faithful tests the second singular pair alone
+    svd = slice(0, left.shape[2] if extended else 1)
+    # (Ax, Ay, n, 1) marginals, zero past each face's blocks
+    wx, wy = wx[..., None], wy[..., None]
     # (Ax, Ay, T, n): the block functions of singular index t + 2; only
     # the padded blocks have zero mass, and their entries stay zero
-    f = left / np.swapaxes(np.sqrt(np.where(wx > 0.0, wx, 1.0)), -1, -2)
-    g = right / np.swapaxes(np.sqrt(np.where(wy > 0.0, wy, 1.0)), -1, -2)
-    feasible = real[..., :rows] & _standardized(wx, f) & _standardized(wy, g)
-    svd = slice(0, rows)
+    f = left[:, :, svd] / np.swapaxes(
+        np.sqrt(np.where(wx > 0.0, wx, 1.0)), -1, -2)
+    g = right[:, :, svd] / np.swapaxes(
+        np.sqrt(np.where(wy > 0.0, wy, 1.0)), -1, -2)
+    feasible = real[..., svd] & _standardized(wx, f) & _standardized(wy, g)
     if extended:
         # the structural fallback rides along as one more row
         fn, ok_f = _normalize(wx, tx.scores[:, None, None])
         gn, ok_g = _normalize(wy, ty.scores[None, :, None])
         f = np.concatenate([f, fn], axis=2)
         g = np.concatenate([g, gn], axis=2)
-    up_f, down_f = _monotone(f, tx.block_of[:, None, None], tx.pairs, tol)
-    up_g, down_g = _monotone(g, ty.block_of[None, :, None], ty.pairs, tol)
+    up_f, down_f = _monotone(f, tx.block_of[:, None, None], tx.pairs)
+    up_g, down_g = _monotone(g, ty.block_of[None, :, None], ty.pairs)
     cov = _cov(merged, wx, wy, f, g)
     kept = []
     checked = 0
@@ -658,18 +659,19 @@ def _extend_monotone(sub_values: np.ndarray, keep: tuple[int, ...],
     Each removed symbol gets the maximum witness value among support
     symbols strictly below it (the overall minimum when none are); the
     closure property of the stored relation makes this extension monotone
-    at the same tolerance.
+    at the same tolerance.  One walk over the strict pairs from a support
+    symbol to a removed one finds every such maximum; the pairs are
+    sorted, so of equal values the lowest-indexed symbol's wins.
     """
-    pos = {old: i for i, old in enumerate(keep)}
-    floor = float(np.min(sub_values))
-    full = np.empty(poset.size)
-    for z in range(poset.size):
-        if z in pos:
-            full[z] = sub_values[pos[z]]
-            continue
-        below = [sub_values[pos[s]] for s in keep
-                 if (s, z) in poset.strict_pairs]
-        full[z] = max(below) if below else floor
+    full = np.full(poset.size, float(np.min(sub_values)))
+    full[list(keep)] = sub_values
+    kept = set(keep)
+    lifted = set()  # removed symbols with a support symbol below
+    for s, z in sorted(pair for pair in poset.strict_pairs
+                       if pair[0] in kept and pair[1] not in kept):
+        if z not in lifted or full[s] > full[z]:
+            full[z] = full[s]
+            lifted.add(z)
     return full
 
 
@@ -683,7 +685,7 @@ def cmc_exact(j: JointPmf, px: Poset, py: Poset,
               opts: CmcOptions = CmcOptions()) -> CorrelationReport:
     """Exact CMC of ``j`` with respect to the orders ``px`` and ``py``.
 
-    Ties within ``tie_tol`` of the maximum are broken lexicographically by
+    Ties within ``TIE_TOL`` of the maximum are broken lexicographically by
     (canonical partition pair, singular index, orientation), which makes
     the report independent of the order in which faces are evaluated.
     Raises :class:`EnumerationTooLarge` when the instance has more than
@@ -693,7 +695,7 @@ def cmc_exact(j: JointPmf, px: Poset, py: Poset,
     js, pxs, pys, keep_x, keep_y = strip_zero_support(j, px, py)
     side_x, side_y = _sides(pxs, pys, opts.mode == "extended")
     # each stack is reduced before the next is solved: only the candidates
-    # within tie_tol of the best covariance so far are kept
+    # within TIE_TOL of the best covariance so far are kept
     best_cov = -math.inf
     near: list[tuple[Candidate, bool]] = []
     checked = n_kept = degenerate = 0
@@ -705,9 +707,9 @@ def cmc_exact(j: JointPmf, px: Poset, py: Poset,
             if k.hit.any():
                 n_kept += np.count_nonzero(k.hit)
                 best_cov = max(best_cov, float(k.cov[k.hit].max()))
-        near = [c for c in near if c[0].cov >= best_cov - opts.tie_tol]
+        near = [c for c in near if c[0].cov >= best_cov - TIE_TOL]
         near += [k.candidate(*cell) for k in kept for cell in zip(*np.nonzero(
-            k.hit & (k.cov >= best_cov - opts.tie_tol)))]
+            k.hit & (k.cov >= best_cov - TIE_TOL)))]
     diagnostics = {
         "mode": opts.mode,
         "partitions_enumerated": len(side_x.parts) * len(side_y.parts),

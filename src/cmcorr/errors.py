@@ -76,10 +76,6 @@ class ZeroVariance(InputError):
     """A variance required to be positive is zero."""
 
 
-class RequiresTotalOrder(InputError):
-    """The operation is defined only for total orders."""
-
-
 class NotMonotoneComparator(InputError):
     """A pair comparator violates its monotonicity properties."""
 

@@ -78,10 +78,10 @@ def random_instances(seed: int, count: int, shape: tuple[int, int]):
     return out
 
 
-def _random_shapes(seed: int, count: int, lo: int = 2, hi: int = 4):
+def _random_shapes(seed: int, count: int):
+    """``count`` seeded alphabet sizes, 2 to 4 symbols per side."""
     rng = np.random.default_rng(seed ^ 0x5EED)
-    return [(int(a), int(b))
-            for a, b in rng.integers(lo, hi + 1, size=(count, 2))]
+    return [(int(a), int(b)) for a, b in rng.integers(2, 5, size=(count, 2))]
 
 
 def _total_orders(j: JointPmf) -> tuple[Poset, Poset]:

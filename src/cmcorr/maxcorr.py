@@ -132,8 +132,7 @@ def decompose(m) -> SvdBundle:
                      right_vectors=right)
 
 
-def padded_residual_spectra(p: np.ndarray, runs_x, runs_y,
-                            rows: int | None = None):
+def padded_residual_spectra(p: np.ndarray, runs_x, runs_y):
     """:func:`residual_spectra` of every face in a padded stack at once.
 
     ``p[a, b]`` (Ax, Ay, nx, ny) holds a normalized pmf in its leading
@@ -145,11 +144,13 @@ def padded_residual_spectra(p: np.ndarray, runs_x, runs_y,
     (kx, ky), on that shape's contiguous blocks, so a face gets the bits
     it would get alone.
 
-    Returns ``(values, real, left, right)`` of shapes (Ax, Ay, r),
-    (Ax, Ay, r), (Ax, Ay, t, nx) and (Ax, Ay, t, ny), where r is the
-    longest residual spectrum min(kx, ky) - 1 of the stack and t is
-    ``rows`` (default r).  ``real`` marks the indices within each face's
-    own spectrum; every other entry is zero.
+    Returns ``(values, real, left, right, px, py)`` of shapes (Ax, Ay, r),
+    (Ax, Ay, r), (Ax, Ay, r, nx), (Ax, Ay, r, ny), (Ax, Ay, nx) and
+    (Ax, Ay, ny), where r is the longest residual spectrum
+    min(kx, ky) - 1 of the stack.  ``real`` marks the indices within each
+    face's own spectrum; every other entry is zero.  ``px`` and ``py`` are
+    the marginals the residual was deflated with, zero past each face's
+    blocks.
     """
     ax, ay, nx, ny = p.shape
     # a marginal sums only a face's own k entries: summed over the padded
@@ -166,24 +167,22 @@ def padded_residual_spectra(p: np.ndarray, runs_x, runs_y,
     max_y = max(k for k, _, _ in runs_y)
     _check(resid, max_x * max_y)
     width = min(max_x, max_y) - 1
-    rows = width if rows is None else rows
     values = np.zeros((ax, ay, width))
     real = np.zeros((ax, ay, width), dtype=bool)
-    left = np.zeros((ax, ay, rows, nx))
-    right = np.zeros((ax, ay, rows, ny))
+    left = np.zeros((ax, ay, width, nx))
+    right = np.zeros((ax, ay, width, ny))
     for kx, xa, xb in runs_x:
         for ky, ya, yb in runs_y:
             u, s, vt = _lapack(np.ascontiguousarray(
                 resid[xa:xb, ya:yb, :kx, :ky]))
             r = min(kx, ky) - 1
-            t = min(r, rows)
             values[xa:xb, ya:yb, :r] = s[..., :r]
             real[xa:xb, ya:yb, :r] = True
-            left[xa:xb, ya:yb, :t, :kx] = np.swapaxes(u[..., :t], -1, -2)
-            right[xa:xb, ya:yb, :t, :ky] = vt[..., :t, :]
+            left[xa:xb, ya:yb, :r, :kx] = np.swapaxes(u[..., :r], -1, -2)
+            right[xa:xb, ya:yb, :r, :ky] = vt[..., :r, :]
     # trailing zeros never decide a sign, so the padding changes nothing
     _fix_signs(left, right)
-    return values, real, left, right
+    return values, real, left, right, px, py
 
 
 def residual_spectra(p: np.ndarray):
@@ -197,7 +196,7 @@ def residual_spectra(p: np.ndarray):
     """
     *lead, m, n = p.shape
     r = min(m, n) - 1
-    values, _, left, right = padded_residual_spectra(
+    values, _, left, right, _, _ = padded_residual_spectra(
         p.reshape(1, -1, m, n), ((m, 0, 1),), ((n, 0, math.prod(lead)),))
     return (values.reshape(*lead, r), left.reshape(*lead, r, m),
             right.reshape(*lead, r, n))

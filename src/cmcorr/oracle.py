@@ -6,11 +6,12 @@ a total order on the response side it sweeps an exhaustive grid of monotone
 profiles for one function and answers each with an *exact* best response,
 obtained by enumerating the faces of the monotone cone (contiguous block
 poolings along the order, whose matrices are built once per order and
-weights).  The positive-side face optimum coincides with the
-pool-adjacent-violators projection; the negative-side optima are the negated
-pooled means, so discordant instances are solved exactly as well.  The best
-grid points are then polished by alternating exact best responses.  For
-general posets it grids both sides and takes the best feasible pair.
+weights).  The positive-side optimum is the normalized pool-adjacent-violators
+projection of the conditional means, found among the faces rather than by
+running the pooling; the negative-side optima are the negated pooled means,
+so discordant instances are solved exactly as well.  The best grid points
+are then polished by alternating exact best responses.  For general posets
+it grids both sides and takes the best feasible pair.
 
 The grid at step s holds every monotone function whose values lie on the
 levels 0, s, 2s, ... <= 1.  Centering and scaling to unit variance forget a
@@ -40,13 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import JointPmf, marginal_x, marginal_y, strip_zero_support
-from .errors import (
-    InputError,
-    RequiresTotalOrder,
-    ShapeMismatch,
-    SizeTooLarge,
-    ZeroVariance,
-)
+from .errors import InputError, SizeTooLarge
 from .order import Poset
 
 _TOTAL_SIDE_LIMIT = 5
@@ -85,80 +80,6 @@ class OracleConfig:
             raise InputError("refine_iters must be nonnegative")
         if self.restart_count < 1:
             raise InputError("restart_count must be positive")
-
-
-def pava_isotonic(targets, weights) -> np.ndarray:
-    """Weighted least-squares projection onto non-decreasing sequences.
-
-    Classic pool-adjacent-violators: walk left to right, pooling any block
-    whose weighted mean drops below its predecessor's.  Idempotent and
-    weighted-mean preserving.
-    """
-    t = np.asarray(targets, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if t.shape != w.shape or t.ndim != 1:
-        raise ShapeMismatch("targets and weights must be equal-length vectors")
-    if (w <= 0).any():
-        raise InputError("weights must be strictly positive")
-    # blocks of (weight sum, weighted value sum, member count)
-    blocks: list[list[float]] = []
-    counts: list[int] = []
-    for ti, wi in zip(t, w):
-        blocks.append([wi, wi * ti])
-        counts.append(1)
-        while len(blocks) > 1 and (
-            blocks[-1][1] / blocks[-1][0] <
-            blocks[-2][1] / blocks[-2][0]
-        ):
-            w2, s2 = blocks.pop()
-            c2 = counts.pop()
-            blocks[-1][0] += w2
-            blocks[-1][1] += s2
-            counts[-1] += c2
-    out = np.empty_like(t)
-    pos = 0
-    for (bw, bs), c in zip(blocks, counts):
-        out[pos:pos + c] = bs / bw
-        pos += c
-    return out
-
-
-def _require_total(p: Poset) -> list[int]:
-    if not p.is_total():
-        raise RequiresTotalOrder("this operation needs a total order")
-    return p.linear_extension()
-
-
-def best_response_g(j: JointPmf, f, py: Poset):
-    """Best monotone response to ``f`` on the Y side, by cone projection.
-
-    Projects the centered conditional means c(y) = E[f(X) | Y = y] onto the
-    non-decreasing cone along the total order; the normalized projection
-    maximizes Cov(f / sd(f), g) over monotone unit-variance g whenever the
-    projection is non-constant.  Returns ``(g, value)`` or ``None`` when
-    the projection is constant (no concordant response exists).
-    """
-    sigma = _require_total(py)
-    f = np.asarray(f, dtype=float)
-    px = marginal_x(j)
-    py_w = marginal_y(j)
-    mean_f = float(px @ f)
-    var_f = float(px @ (f - mean_f) ** 2)
-    if var_f <= 0.0:
-        raise ZeroVariance("f must have positive variance")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cond = (j.p.T @ f) / py_w
-    cond[py_w == 0.0] = 0.0
-    cond -= float(py_w @ cond)
-    proj_sorted = pava_isotonic(cond[sigma], py_w[sigma])
-    proj = np.empty_like(proj_sorted)
-    proj[sigma] = proj_sorted
-    if proj.max() - proj.min() <= _CONST_TOL:
-        return None
-    norm = math.sqrt(float(py_w @ (proj - float(py_w @ proj)) ** 2))
-    g = (proj - float(py_w @ proj)) / norm
-    value = float((f - mean_f) @ j.p @ g) / math.sqrt(var_f)
-    return g, value
 
 
 def _pooled_responder(w: np.ndarray, sigma: list[int]):

@@ -25,8 +25,6 @@ from .errors import (
 MONOTONE_TOL = 1e-9
 _ENUM_LIMIT = 16
 
-ORDER_KINDS = ("total", "antichain", "explicit")
-
 
 @dataclass(frozen=True)
 class Poset:

@@ -49,6 +49,7 @@ from cmcorr.maxcorr import (
 )
 from cmcorr.oracle import OracleConfig, grid_oracle
 from cmcorr.order import (
+    MONOTONE_TOL,
     antichain,
     is_monotone,
     partition_from_blocks,
@@ -349,7 +350,7 @@ def reference_face_candidates(js, pxs, pys, bx, by, opts):
     pmy = marginal_y(merged)
     values, left, right = residual_singular_pairs(merged)
     degenerate = int(
-        (np.abs(np.diff(values)) <= opts.tie_tol).sum()
+        (np.abs(np.diff(values)) <= engine.TIE_TOL).sum()
     ) if values.size > 1 else 0
     bx_idx = np.asarray(bx.block_of)
     by_idx = np.asarray(by.block_of)
@@ -369,8 +370,8 @@ def reference_face_candidates(js, pxs, pys, bx, by, opts):
                 fl = flip * fblk[bx_idx]
                 gl = flip * gsig[by_idx]
                 checked += 1
-                if is_monotone(fl, pxs, opts.monotone_tol) and \
-                        is_monotone(gl, pys, opts.monotone_tol):
+                if is_monotone(fl, pxs, MONOTONE_TOL) and \
+                        is_monotone(gl, pys, MONOTONE_TOL):
                     pair = ScoredPair(f=fl, g=gl)
                     kept.append(Candidate(
                         partition_x=bx, partition_y=by, kind="svd",
@@ -384,8 +385,8 @@ def reference_face_candidates(js, pxs, pys, bx, by, opts):
             fl = fn[bx_idx]
             gl = gn[by_idx]
             checked += 1
-            if is_monotone(fl, pxs, opts.monotone_tol) and \
-                    is_monotone(gl, pys, opts.monotone_tol):
+            if is_monotone(fl, pxs, MONOTONE_TOL) and \
+                    is_monotone(gl, pys, MONOTONE_TOL):
                 pair = ScoredPair(f=fl, g=gl)
                 kept.append(Candidate(
                     partition_x=bx, partition_y=by, kind="structural",
@@ -410,7 +411,7 @@ def reference_cmc(j, px, py, opts):
         return CorrelationReport(measure="cmc", value=float("nan"),
                                  diagnostics=diagnostics)
     best_cov = max(c.cov for c in candidates)
-    near = [c for c in candidates if c.cov >= best_cov - opts.tie_tol]
+    near = [c for c in candidates if c.cov >= best_cov - engine.TIE_TOL]
     best = min(near, key=Candidate.sort_key)
     diagnostics.update(
         tie_candidates=len(near),
@@ -428,10 +429,6 @@ class TestOptions:
     def test_mode_validated(self):
         with pytest.raises(InputError):
             CmcOptions(mode="exact")
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(InputError):
-            CmcOptions(monotone_tol=-1.0)
 
 
 class TestDistinctPartitions:
@@ -908,31 +905,29 @@ class TestStructuralProperties:
         padded = maxcorr.padded_residual_spectra
         shapes = set()
 
-        def checked(p, runs_x, runs_y, rows=None):
-            values, real, left, right = padded(p, runs_x, runs_y, rows)
-            want_values = np.zeros_like(values)
-            want_real = np.zeros_like(real)
-            want_left = np.zeros_like(left)
-            want_right = np.zeros_like(right)
+        def checked(p, runs_x, runs_y):
+            got = padded(p, runs_x, runs_y)
+            want = [np.zeros_like(a) for a in got]
+            values, real, left, right, px, py = want
             for kx, xa, xb in runs_x:
                 for ky, ya, yb in runs_y:
                     shapes.add((kx, ky))
                     block = np.ascontiguousarray(p[xa:xb, ya:yb, :kx, :ky])
                     ref = reference_residual_spectra(block)
-                    for got in (residual_spectra(block), ref):
+                    for spectra in (residual_spectra(block), ref):
                         assert all(np.array_equal(a, b)
-                                   for a, b in zip(got, ref))
+                                   for a, b in zip(spectra, ref))
                     v, lv, rv = ref
-                    r, t = v.shape[-1], min(v.shape[-1], left.shape[2])
-                    want_values[xa:xb, ya:yb, :r] = v
-                    want_real[xa:xb, ya:yb, :r] = True
-                    want_left[xa:xb, ya:yb, :t, :kx] = lv[..., :t, :]
-                    want_right[xa:xb, ya:yb, :t, :ky] = rv[..., :t, :]
-            assert np.array_equal(values, want_values)
-            assert np.array_equal(real, want_real)
-            assert np.array_equal(left, want_left)
-            assert np.array_equal(right, want_right)
-            return values, real, left, right
+                    r = v.shape[-1]
+                    values[xa:xb, ya:yb, :r] = v
+                    real[xa:xb, ya:yb, :r] = True
+                    left[xa:xb, ya:yb, :r, :kx] = lv
+                    right[xa:xb, ya:yb, :r, :ky] = rv
+                    # the marginals are the face's own row and column sums
+                    px[xa:xb, ya:yb, :kx] = block.sum(axis=-1)
+                    py[xa:xb, ya:yb, :ky] = block.sum(axis=-2)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            return got
 
         monkeypatch.setattr(engine, "padded_residual_spectra", checked)
         cases, modes = spectral_cases(), MODES
@@ -1045,6 +1040,80 @@ class TestStructuralProperties:
         j = random_pmf(rng, 3, 3)
         report = cmc_exact(j, *total_orders(j))
         assert report.diagnostics["winning_face_degenerate"] is False
+
+
+def reference_extend_monotone(sub_values, keep, poset):
+    """The witness extension before it walked the strict pairs: every
+    support symbol is looked up below each removed one."""
+    pos = {old: i for i, old in enumerate(keep)}
+    floor = float(np.min(sub_values))
+    full = np.empty(poset.size)
+    for z in range(poset.size):
+        if z in pos:
+            full[z] = sub_values[pos[z]]
+            continue
+        below = [sub_values[pos[s]] for s in keep
+                 if (s, z) in poset.strict_pairs]
+        full[z] = max(below) if below else floor
+    return full
+
+
+class TestExtendMonotone:
+    @pytest.mark.parametrize("name", ["chain5", "chain5r", "vee", "diamond",
+                                      "antichain", "chain3xchain2", "cube3"])
+    def test_matches_reference(self, name):
+        # same bits as the per-symbol scan, signed zeros and ties included
+        p = reference_posets()[name]
+        rng = np.random.default_rng(65)
+        for _ in range(40):
+            keep = tuple(sorted(rng.choice(p.size, int(rng.integers(
+                1, p.size + 1)), replace=False).tolist()))
+            values = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], len(keep))
+            got = engine._extend_monotone(values, keep, p)
+            assert got.tobytes() == \
+                reference_extend_monotone(values, keep, p).tobytes()
+
+    @pytest.mark.parametrize("name", ["chain4", "chain4r", "vee", "diamond",
+                                      "antichain"])
+    def test_reports_match_reference(self, monkeypatch, name):
+        # seeded pmfs with zero-mass symbols give the witness the per-symbol
+        # scan gives
+        px = reference_posets()[name]
+        py = total_order(["0", "1", "2"])
+        rng = np.random.default_rng(66)
+        for _ in range(10):
+            p = rng.dirichlet(np.ones(px.size * 3)).reshape(px.size, 3)
+            p[rng.choice(px.size, px.size - 2, replace=False)] *= \
+                rng.random() < 0.7
+            p[:, int(rng.integers(3))] *= rng.random() < 0.5
+            j = joint_pmf(p / p.sum(), px.labels, py.labels)
+            got = cmc_exact(j, px, py)
+            with monkeypatch.context() as m:
+                m.setattr(engine, "_extend_monotone",
+                          reference_extend_monotone)
+                ref = cmc_exact(j, px, py)
+            assert np.array_equal(got.witness.f, ref.witness.f)
+            assert np.array_equal(got.witness.g, ref.witness.g)
+
+    def test_wide_support_is_linear(self):
+        # 2,000 support labels and 18,000 zero-mass ones: label 10k has
+        # mass, 10k + 1 .. 10k + 4 lie above it and 10k + 5 .. 10k + 9 are
+        # comparable to nothing; the per-symbol scan took about 3 s here
+        # on a 2-vCPU Xeon
+        rng = np.random.default_rng(78)
+        p = np.zeros((20000, 2))
+        p[::10] = rng.dirichlet(np.ones(4000)).reshape(2000, 2)
+        j = joint_pmf(p)
+        px = poset_from_pairs(j.x_labels, [(k, k + r)
+                                           for k in range(0, 20000, 10)
+                                           for r in range(1, 5)])
+        start = time.perf_counter()
+        report = cmc_exact(j, px, total_order(j.y_labels))
+        assert time.perf_counter() - start < 1.0
+        f = report.witness.f.reshape(2000, 10)
+        assert (f[:, 1:5] == f[:, :1]).all()
+        assert (f[:, 5:] == f[:, 0].min()).all()
+        assert is_monotone(report.witness.f, px, 0.0)
 
 
 class TestFaceMemo:

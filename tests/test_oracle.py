@@ -10,19 +10,8 @@ from cmcorr import oracle
 from cmcorr.cli import main
 from cmcorr.dist import joint_pmf
 from cmcorr.engine import cmc_exact
-from cmcorr.errors import (
-    InputError,
-    RequiresTotalOrder,
-    ShapeMismatch,
-    SizeTooLarge,
-    ZeroVariance,
-)
-from cmcorr.oracle import (
-    OracleConfig,
-    best_response_g,
-    grid_oracle,
-    pava_isotonic,
-)
+from cmcorr.errors import InputError, SizeTooLarge
+from cmcorr.oracle import OracleConfig, grid_oracle
 from cmcorr.order import (
     antichain,
     is_monotone,
@@ -41,118 +30,6 @@ def total_orders(j):
 
 def random_pmf(rng, m, n):
     return joint_pmf(rng.dirichlet(np.ones(m * n)).reshape(m, n))
-
-
-class TestPava:
-    def test_already_monotone_unchanged(self):
-        out = pava_isotonic([1, 2, 3], [1, 1, 1])
-        assert out == pytest.approx([1, 2, 3])
-
-    def test_two_point_pool(self):
-        assert pava_isotonic([1, 0], [0.5, 0.5]) == pytest.approx([0.5, 0.5])
-
-    def test_sequential_pooling(self):
-        assert pava_isotonic([3, 1, 2], [1, 1, 1]) == pytest.approx([2, 2, 2])
-
-    def test_weighted_pool(self):
-        # pooled average of (3, w=3) and (1, w=1) is 2.5
-        assert pava_isotonic([3, 1], [3, 1]) == pytest.approx([2.5, 2.5])
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(31)
-        for _ in range(25):
-            n = int(rng.integers(2, 8))
-            t = rng.normal(size=n)
-            w = rng.uniform(0.1, 2.0, size=n)
-            once = pava_isotonic(t, w)
-            assert pava_isotonic(once, w) == pytest.approx(once, abs=1e-12)
-
-    def test_output_is_monotone(self):
-        rng = np.random.default_rng(32)
-        chain = total_order([str(i) for i in range(6)])
-        for _ in range(25):
-            out = pava_isotonic(rng.normal(size=6),
-                                rng.uniform(0.1, 2.0, size=6))
-            assert is_monotone(out, chain, 0.0)
-
-    def test_preserves_weighted_mean(self):
-        rng = np.random.default_rng(33)
-        for _ in range(25):
-            t = rng.normal(size=5)
-            w = rng.uniform(0.1, 2.0, size=5)
-            out = pava_isotonic(t, w)
-            assert float(w @ out) == pytest.approx(float(w @ t), abs=1e-12)
-
-    def test_nonexpansive_in_weighted_norm(self):
-        rng = np.random.default_rng(34)
-        for _ in range(25):
-            a = rng.normal(size=5)
-            b = rng.normal(size=5)
-            w = rng.uniform(0.1, 2.0, size=5)
-            pa = pava_isotonic(a, w)
-            pb = pava_isotonic(b, w)
-            assert float(w @ (pa - pb) ** 2) <= float(w @ (a - b) ** 2) + 1e-12
-
-    def test_guards(self):
-        with pytest.raises(ShapeMismatch):
-            pava_isotonic([1, 2], [1, 2, 3])
-        with pytest.raises(InputError):
-            pava_isotonic([1, 2], [1, 0])
-
-
-class TestBestResponse:
-    def test_diagonal(self):
-        j = joint_pmf([[0.5, 0], [0, 0.5]])
-        g, value = best_response_g(j, [-1, 1], total_order(j.y_labels))
-        assert g == pytest.approx([-1, 1])
-        assert value == pytest.approx(1.0)
-
-    def test_independent_returns_none(self):
-        j = joint_pmf(np.outer([0.3, 0.7], [0.4, 0.6]))
-        assert best_response_g(j, [-1, 1], total_order(j.y_labels)) is None
-
-    def test_dsbs(self):
-        j = joint_pmf(DSBS)
-        g, value = best_response_g(j, [-1, 1], total_order(j.y_labels))
-        assert g == pytest.approx([-1, 1])
-        assert value == pytest.approx(0.6, abs=1e-12)
-
-    def test_requires_total_order(self):
-        j = joint_pmf(np.full((2, 3), 1 / 6))
-        with pytest.raises(RequiresTotalOrder):
-            best_response_g(j, [-1, 1], antichain(j.y_labels))
-
-    def test_zero_variance_f(self):
-        j = joint_pmf(DSBS)
-        with pytest.raises(ZeroVariance):
-            best_response_g(j, [2, 2], total_order(j.y_labels))
-
-    def test_dominates_exhaustive_g_grid(self):
-        # the projection value must beat every monotone unit-variance grid g
-        rng = np.random.default_rng(35)
-        for _ in range(10):
-            j = random_pmf(rng, 3, 3)
-            py = total_order(j.y_labels)
-            f = np.array([-1.2, 0.1, 1.4])
-            resp = best_response_g(j, f, py)
-            if resp is None:
-                continue
-            _, value = resp
-            px_w = j.p.sum(axis=1)
-            py_w = j.p.sum(axis=0)
-            fc = f - px_w @ f
-            fc = fc / np.sqrt(px_w @ fc**2)
-            best_grid = -np.inf
-            for combo in np.ndindex(5, 5, 5):
-                g = np.asarray(combo, dtype=float)
-                if (np.diff(g) < 0).any():
-                    continue
-                gc = g - py_w @ g
-                var = py_w @ gc**2
-                if var <= 1e-12:
-                    continue
-                best_grid = max(best_grid, float(fc @ j.p @ (gc / np.sqrt(var))))
-            assert value >= best_grid - 1e-9
 
 
 class TestGridOracle:
@@ -488,6 +365,32 @@ class TestPooledResponder:
         assert g[0] == pytest.approx(
             np.array([-3.0, 1.0, 1.0]) / math.sqrt(3.0), abs=1e-15)
         assert g[0] == pytest.approx(ref_g, abs=1e-15)
+
+    def test_dominates_exhaustive_g_grid(self):
+        # the exact response to a standardized f must beat the covariance
+        # of f with every monotone unit-variance g on the 5-level grid
+        rng = np.random.default_rng(35)
+        for _ in range(10):
+            j = random_pmf(rng, 3, 3)
+            py = total_order(j.y_labels)
+            px_w = j.p.sum(axis=1)
+            py_w = j.p.sum(axis=0)
+            f = np.array([-1.2, 0.1, 1.4])
+            fc = f - px_w @ f
+            fc = fc / np.sqrt(px_w @ fc**2)
+            respond = oracle._pooled_responder(py_w, py.linear_extension())
+            value, _ = respond(oracle._centered_conditional(fc @ j.p, py_w))
+            best_grid = -np.inf
+            for combo in np.ndindex(5, 5, 5):
+                g = np.asarray(combo, dtype=float)
+                if (np.diff(g) < 0).any():
+                    continue
+                gc = g - py_w @ g
+                var = py_w @ gc**2
+                if var <= 1e-12:
+                    continue
+                best_grid = max(best_grid, float(fc @ j.p @ (gc / np.sqrt(var))))
+            assert value[0] >= best_grid - 1e-9
 
 
 class TestGridLimit:
