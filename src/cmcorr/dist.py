@@ -24,6 +24,7 @@ from .errors import (
 from .order import BlockPartition, Poset
 
 MASS_TOL = 1e-9
+_WITNESS_TOL = 1e-7  # how far check_report lets a witness's cov lie
 
 
 def _frozen_array(a, ndim: int) -> np.ndarray:
@@ -182,8 +183,7 @@ class CorrelationReport:
         return self.witness is not None
 
 
-def check_report(j: JointPmf, report: CorrelationReport,
-                 witness_tol: float = 1e-7) -> None:
+def check_report(j: JointPmf, report: CorrelationReport) -> None:
     """Assert the report invariants; raises AssertionError on breach."""
     if report.diagnostics.get("no_witness"):
         assert math.isnan(report.value)
@@ -191,7 +191,7 @@ def check_report(j: JointPmf, report: CorrelationReport,
     assert -1.0 - 1e-9 <= report.value <= 1.0 + 1e-9, report.value
     if report.witness is not None:
         stats = pair_stats(j, report.witness)
-        assert abs(stats.cov - report.value) <= witness_tol, (
+        assert abs(stats.cov - report.value) <= _WITNESS_TOL, (
             stats.cov, report.value)
 
 

@@ -25,10 +25,12 @@ faces are cut into stacks of bounded size, and each stack is reduced to
 the candidates near the best covariance so far before the next one is
 built, so memory stays bounded.  Kept candidates are feasible by
 construction, so the reported maximum never overshoots the true value.
-Instances with more than ``FACE_LIMIT`` faces are refused before any
-spectral work.  The faces and tables of an order depend on the order
-alone, so those of recently solved orders are kept in a small memo,
-bounded by the number of partitions it holds (``MEMO_PARTITIONS``).
+Only candidates within rounding (``TIE_WINDOW``) of the best covariance
+tie, so the report is the best certified covariance.  Instances with more
+than ``FACE_LIMIT`` faces are refused before any spectral work.  The faces
+and tables of an order depend on the order alone, so those of recently
+solved orders are kept in a small memo keyed on ``(size, strict_pairs,
+extended)`` and bounded by the partitions it holds (``MEMO_PARTITIONS``).
 
 Two candidate policies are supported:
 
@@ -87,9 +89,12 @@ MODES = ("paper_faithful", "extended")
 
 _FEASIBILITY_TOL = 1e-8
 _VALUE_GUARD = 1e-8
-# Candidates within this of the best covariance tie, and so do neighbouring
-# residual singular values of a face (its spectrum is then degenerate).
+_S_MIN = 1e-3  # the least |s| of the moment-generating-function bound
+# Neighbouring residual singular values of a face within this tie.
 TIE_TOL = 1e-9
+# Candidates within this of the best covariance tie: rounding alone, since
+# |cov| <= 1 + _VALUE_GUARD.
+TIE_WINDOW = 8 * float(np.finfo(float).eps)
 
 # Largest face count |parts_x| * |parts_y| the engine will solve.
 FACE_LIMIT = 2 ** 16
@@ -160,10 +165,8 @@ def distinct_partitions(p: Poset) -> list[BlockPartition]:
         below[k] |= 1 << i
         near[i] |= 1 << k
         near[k] |= 1 << i
-    # bottom-up by the number of elements below, as Poset.linear_extension
-    order = sorted(range(n), key=lambda i: (below[i].bit_count(), i))
-    rank = [0] * n
-    for r, i in enumerate(order):
+    rank = [0] * n  # bottom-up, by the number of elements below
+    for r, i in enumerate(p.linear_extension()):
         rank[i] = r
 
     def members(mask: int) -> list[int]:
@@ -324,9 +327,9 @@ _STACK_ENTRIES = 2 ** 18
 
 @dataclass(frozen=True)
 class _Tables:
-    """The partitions of one side with at least two blocks, stacked by
-    block count and canonically within a count; every array is read-only,
-    since the tables are kept in the memo (see ``_Side``)."""
+    """The partitions of one side with at least two blocks, by block count
+    and canonically within a count, whatever order they were listed in;
+    every array is read-only, since the memo keeps them (see ``_Side``)."""
 
     parts: tuple[BlockPartition, ...]
     block_of: np.ndarray  # (A, size) block of each symbol
@@ -356,7 +359,7 @@ def _side_table(p: Poset, parts: Sequence[BlockPartition],
     """The tables of the partitions with at least two blocks; a face with a
     single block on either side has no candidates."""
     group = sorted((q for q in parts if len(q.blocks) >= 2),
-                   key=lambda q: len(q.blocks))
+                   key=lambda q: (len(q.blocks), q.blocks))
     pairs = np.array(p.pairs_sorted(), dtype=np.intp).reshape(-1, 2).T
     lower, upper = pairs
     block_of = _frozen(np.array([q.block_of for q in group],
@@ -384,20 +387,21 @@ MEMO_PARTITIONS = 4096
 
 
 class _Side(NamedTuple):
-    """The faces of one order in canonical order, and their tables."""
+    """The number of faces of one order, and their tables."""
 
-    parts: tuple[BlockPartition, ...]
+    faces: int
     table: _Tables
 
 
 class _SideMemo:
-    """The faces and tables of the orders solved last, least recently used
-    first, holding at most ``MEMO_PARTITIONS`` partitions in all.
+    """The face counts and tables of the orders solved last, least recently
+    used first, holding at most ``MEMO_PARTITIONS`` partitions in all.
 
-    Keys are ``(size, strict_pairs, extended, FACE_LIMIT)``: the faces
-    depend on the order alone, not on its labels or on the pmf, and the
-    tables only add the structural scores of extended mode.  A lock keeps
-    the count right when several threads solve at once.
+    Keys are ``(size, strict_pairs, extended)``: the faces depend on the
+    order alone, not on its labels, the pmf or ``FACE_LIMIT`` (a held
+    order over a lowered limit is refused by its instance's face count),
+    and the tables only add the structural scores of extended mode.  A
+    lock keeps the count right when several threads solve at once.
     """
 
     def __init__(self):
@@ -414,12 +418,12 @@ class _SideMemo:
 
     def put(self, key, side: _Side) -> None:
         with self._lock:
-            if key in self.entries or len(side.parts) > MEMO_PARTITIONS:
+            if key in self.entries or side.faces > MEMO_PARTITIONS:
                 return
             self.entries[key] = side
-            self.held += len(side.parts)
+            self.held += side.faces
             while self.held > MEMO_PARTITIONS:
-                self.held -= len(self.entries.popitem(last=False)[1].parts)
+                self.held -= self.entries.popitem(last=False)[1].faces
 
     def clear(self) -> None:
         with self._lock:
@@ -431,28 +435,26 @@ _MEMO = _SideMemo()
 
 
 def _sides(px: Poset, py: Poset, extended: bool) -> list[_Side]:
-    """The faces and tables of both orders, from the memo or built and
-    kept there.
+    """The face counts and tables of both orders, from the memo or built
+    and kept there.
 
     Raises :class:`EnumerationTooLarge` when the instance has more than
     ``FACE_LIMIT`` faces, before any table is built or anything is kept.
     """
-    keys = [(p.size, p.strict_pairs, extended, FACE_LIMIT) for p in (px, py)]
+    keys = [(p.size, p.strict_pairs, extended) for p in (px, py)]
     held = [_MEMO.get(key) for key in keys]
-    # canonical face order, so a face's place in a stack never depends on
-    # the order the enumerator returned
-    parts = [side.parts if side else
-             tuple(sorted(distinct_partitions(p), key=lambda q: q.blocks))
+    parts = [None if side else distinct_partitions(p)
              for p, side in zip((px, py), held)]
-    n_faces = len(parts[0]) * len(parts[1])
+    counts = [side.faces if side else len(q) for side, q in zip(held, parts)]
+    n_faces = counts[0] * counts[1]
     if n_faces > FACE_LIMIT:
         raise EnumerationTooLarge(
-            f"{len(parts[0])} x {len(parts[1])} = {n_faces} faces exceed the "
+            f"{counts[0]} x {counts[1]} = {n_faces} faces exceed the "
             f"limit {FACE_LIMIT}"
         )
     for i, p in enumerate((px, py)):
         if held[i] is None:
-            held[i] = _Side(parts[i], _side_table(p, parts[i], extended))
+            held[i] = _Side(counts[i], _side_table(p, parts[i], extended))
             _MEMO.put(keys[i], held[i])
     return held
 
@@ -685,9 +687,10 @@ def cmc_exact(j: JointPmf, px: Poset, py: Poset,
               opts: CmcOptions = CmcOptions()) -> CorrelationReport:
     """Exact CMC of ``j`` with respect to the orders ``px`` and ``py``.
 
-    Ties within ``TIE_TOL`` of the maximum are broken lexicographically by
-    (canonical partition pair, singular index, orientation), which makes
-    the report independent of the order in which faces are evaluated.
+    Candidates within rounding (``TIE_WINDOW``) of the best covariance
+    tie, and ties are broken lexicographically by (canonical partition
+    pair, singular index, orientation), which makes the report
+    independent of the order in which faces are evaluated.
     Raises :class:`EnumerationTooLarge` when the instance has more than
     ``FACE_LIMIT`` faces, before any merge or spectral work.
     """
@@ -695,7 +698,7 @@ def cmc_exact(j: JointPmf, px: Poset, py: Poset,
     js, pxs, pys, keep_x, keep_y = strip_zero_support(j, px, py)
     side_x, side_y = _sides(pxs, pys, opts.mode == "extended")
     # each stack is reduced before the next is solved: only the candidates
-    # within TIE_TOL of the best covariance so far are kept
+    # within TIE_WINDOW of the best covariance so far are kept
     best_cov = -math.inf
     near: list[tuple[Candidate, bool]] = []
     checked = n_kept = degenerate = 0
@@ -707,12 +710,12 @@ def cmc_exact(j: JointPmf, px: Poset, py: Poset,
             if k.hit.any():
                 n_kept += np.count_nonzero(k.hit)
                 best_cov = max(best_cov, float(k.cov[k.hit].max()))
-        near = [c for c in near if c[0].cov >= best_cov - TIE_TOL]
+        near = [c for c in near if c[0].cov >= best_cov - TIE_WINDOW]
         near += [k.candidate(*cell) for k in kept for cell in zip(*np.nonzero(
-            k.hit & (k.cov >= best_cov - TIE_TOL)))]
+            k.hit & (k.cov >= best_cov - TIE_WINDOW)))]
     diagnostics = {
         "mode": opts.mode,
-        "partitions_enumerated": len(side_x.parts) * len(side_y.parts),
+        "partitions_enumerated": side_x.faces * side_y.faces,
         "faces_solved": len(side_x.table.parts) * len(side_y.table.parts),
         "candidates_checked": int(checked),
         "candidates_kept": int(n_kept),
@@ -766,8 +769,7 @@ def cmc_x_reversed(j: JointPmf, px: Poset, py: Poset,
     return replace(report, measure="cmc_x_reversed")
 
 
-def mgf_rhs(j: JointPmf, s1: float, s2: float,
-            s_min: float = 1e-3) -> float:
+def mgf_rhs(j: JointPmf, s1: float, s2: float) -> float:
     """Normalized moment-generating-function discrepancy at (s1, s2).
 
     |M_XY(s1, s2) - M_X(s1) M_Y(s2)| divided by the geometric mean of
@@ -776,8 +778,8 @@ def mgf_rhs(j: JointPmf, s1: float, s2: float,
     """
     if j.x_values is None or j.y_values is None:
         raise MissingValues("mgf bound needs numeric embeddings")
-    if abs(s1) < s_min or abs(s2) < s_min:
-        raise SOutOfRange(f"|s| must be at least {s_min}")
+    if abs(s1) < _S_MIN or abs(s2) < _S_MIN:
+        raise SOutOfRange(f"|s| must be at least {_S_MIN}")
     xv = np.asarray(j.x_values)
     yv = np.asarray(j.y_values)
     px = marginal_x(j)

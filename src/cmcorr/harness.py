@@ -290,13 +290,25 @@ def example3_min_disagreement(n: int) -> float:
     return best
 
 
+def _complemented_cube_cmc(n: int) -> float:
+    """CMC of X uniform on {0,1}^n and Y its complement, both cubes."""
+    size = 2 ** n
+    j = joint_pmf(np.fliplr(np.eye(size)) / size)
+    return cmc_exact(j, _hypercube_order(n, j.x_labels),
+                     _hypercube_order(n, j.y_labels), _EXTENDED).value
+
+
 def verify_example3() -> VerifyReport:
-    """Desk check of the disagreement values at n = 1, 2, 3."""
-    v1 = example3_min_disagreement(1)
-    v2 = example3_min_disagreement(2)
-    v3 = example3_min_disagreement(3)
-    violation = max(abs(v1 - 1.0), abs(v2 - 0.5),
-                    0.0 if v3 > 0.0 else 1.0)
+    """Desk check of the disagreement values at n = 1, 2, 3, and of the CMC
+    bound P(f != g) >= (1 - cmc) / 2, which they attain within 1e-9 at
+    n = 1 and 2.  At n = 3 the cube pair has more than ``FACE_LIMIT``
+    faces, so only positivity is checked there."""
+    values = [example3_min_disagreement(n) for n in (1, 2, 3)]
+    cmc = [_complemented_cube_cmc(n) for n in (1, 2)]
+    violation = max(abs(values[0] - 1.0), abs(values[1] - 0.5),
+                    0.0 if values[2] > 0.0 else 1.0,
+                    *(0.0 if abs(v - (1.0 - c) / 2) <= 1e-9 else 1.0
+                      for v, c in zip(values, cmc)))
     return VerifyReport(
         suite="example3",
         trials=3,
@@ -305,5 +317,5 @@ def verify_example3() -> VerifyReport:
         passed=violation <= 0.0,
         seed=None,
         worst_instance=None,
-        details={"values": [v1, v2, v3]},
+        details={"values": values, "cmc": cmc},
     )

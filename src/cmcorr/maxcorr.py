@@ -11,7 +11,6 @@ numerical SVD (see :func:`residual_singular_pairs`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,30 +109,20 @@ def _lapack(arr: np.ndarray):
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
 
 
-def _svd(arr: np.ndarray):
-    """Thin SVD of every matrix in ``arr[..., m, n]``, signs fixed.
-
-    Returns ``(values, left, right)`` with the singular vectors as rows.
-    """
-    _check(arr, arr.shape[-2] * arr.shape[-1])
-    u, s, vt = _lapack(arr)
-    left = np.ascontiguousarray(np.swapaxes(u, -1, -2))
-    _fix_signs(left, vt)
-    return s, left, vt
-
-
 def decompose(m) -> SvdBundle:
     """Full thin SVD with a deterministic sign convention."""
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2:
         raise NonFiniteValue("input must be a matrix")
-    s, left, right = _svd(arr)
-    return SvdBundle(singular_values=s, left_vectors=left,
-                     right_vectors=right)
+    _check(arr, arr.size)
+    u, s, vt = _lapack(arr)
+    left = np.ascontiguousarray(u.T)
+    _fix_signs(left, vt)
+    return SvdBundle(singular_values=s, left_vectors=left, right_vectors=vt)
 
 
 def padded_residual_spectra(p: np.ndarray, runs_x, runs_y):
-    """:func:`residual_spectra` of every face in a padded stack at once.
+    """:func:`residual_singular_pairs` of every face in a padded stack.
 
     ``p[a, b]`` (Ax, Ay, nx, ny) holds a normalized pmf in its leading
     (kx, ky) block and zeros past it.  ``runs_x`` lists ``(kx, start,
@@ -185,23 +174,6 @@ def padded_residual_spectra(p: np.ndarray, runs_x, runs_y):
     return values, real, left, right, px, py
 
 
-def residual_spectra(p: np.ndarray):
-    """:func:`residual_singular_pairs` for a stack of pmf matrices.
-
-    ``p[..., m, n]`` holds normalized pmfs with positive marginals, all
-    decomposed by one stacked SVD: the single-shape case of
-    :func:`padded_residual_spectra`.  Returns ``(values, left, right)`` of
-    shapes ``(..., r)``, ``(..., r, m)`` and ``(..., r, n)``, where
-    r = min(m, n) - 1.
-    """
-    *lead, m, n = p.shape
-    r = min(m, n) - 1
-    values, _, left, right, _, _ = padded_residual_spectra(
-        p.reshape(1, -1, m, n), ((m, 0, 1),), ((n, 0, math.prod(lead)),))
-    return (values.reshape(*lead, r), left.reshape(*lead, r, m),
-            right.reshape(*lead, r, n))
-
-
 def residual_singular_pairs(j: JointPmf):
     """Singular pairs of the Witsenhausen matrix below the analytic top pair.
 
@@ -209,9 +181,13 @@ def residual_singular_pairs(j: JointPmf):
     decomposes the residual, returning ``(values, left, right)`` for the
     remaining min(m, n) - 1 pairs in descending order.  Every pair with a
     positive value is exactly orthogonal to the top pair, which is what
-    makes the rescaled witnesses zero-mean.
+    makes the rescaled witnesses zero-mean.  The marginals must be
+    positive; this is the one-face case of :func:`padded_residual_spectra`.
     """
-    return residual_spectra(j.p)
+    m, n = j.shape
+    values, _, left, right, _, _ = padded_residual_spectra(
+        j.p[None, None], ((m, 0, 1),), ((n, 0, 1),))
+    return values[0, 0], left[0, 0], right[0, 0]
 
 
 def maximal_correlation(j: JointPmf) -> CorrelationReport:
@@ -219,7 +195,7 @@ def maximal_correlation(j: JointPmf) -> CorrelationReport:
     sub, keep_x, keep_y = restrict_to_support(
         j, "maximal correlation needs two support symbols per side")
     values, left, right = residual_singular_pairs(sub)
-    lam2 = float(values[0]) if values.size else 0.0
+    lam2 = float(values[0])
     if lam2 < -1e-8 or lam2 > 1.0 + 1e-8:
         raise NumericalFailure(
             f"second singular value {lam2!r} outside [0, 1]"

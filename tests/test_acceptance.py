@@ -245,6 +245,16 @@ def test_c11_balanced_boolean_disagreement():
     v2 = c.example3_min_disagreement(2)
     v3 = c.example3_min_disagreement(3)
     violations = [abs(v1 - 1.0), abs(v2 - 0.5), 1.0 if v3 <= 0.0 else 0.0]
+    # the CMC bound P(f != g) >= (1 - cmc) / 2 is attained at n = 1 and 2:
+    # X uniform on {0,1}^n, Y its complement, both componentwise ordered
+    for n, v in ((1, v1), (2, v2)):
+        cube = c.total_order(["0", "1"])
+        for _ in range(n - 1):
+            cube = c.product(cube, c.total_order(["0", "1"]))
+        j = c.joint_pmf(np.fliplr(np.eye(cube.size)) / cube.size,
+                        cube.labels, cube.labels)
+        cmc = c.cmc_exact(j, cube, cube).value
+        violations.append(0.0 if abs(v - (1.0 - cmc) / 2) <= 1e-9 else 1.0)
     print(f"    disagreement floor at n=3: {v3}")
     _criterion(11, "balanced monotone boolean disagreement floor",
                violations, 10.0, time.perf_counter() - start, 0.0)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import cmcorr.harness as harness
 from cmcorr.dist import JointPmf
 from cmcorr.errors import CapExceeded, SizeTooLarge
 from cmcorr.harness import (
@@ -134,3 +135,13 @@ class TestExample3:
         assert report.passed
         assert report.details["values"][0] == 1.0
         assert report.details["values"][1] == 0.5
+        # the minimum attains the CMC bound (1 - cmc) / 2 at n = 1 and 2
+        cmc = report.details["cmc"]
+        assert cmc[0] == pytest.approx(-1.0, abs=1e-9)
+        assert cmc[1] == pytest.approx(0.0, abs=1e-9)
+
+    def test_suite_fails_off_the_cmc_bound(self, monkeypatch):
+        monkeypatch.setattr(harness, "_complemented_cube_cmc", lambda n: 0.0)
+        report = verify_example3()
+        assert not report.passed
+        assert report.max_violation == 1.0

@@ -15,7 +15,6 @@ from cmcorr.maxcorr import (
     decompose,
     maximal_correlation,
     residual_singular_pairs,
-    residual_spectra,
     witsenhausen_matrix,
 )
 
@@ -111,16 +110,6 @@ class TestDecompose:
         for k in range(left.shape[0]):
             loop_fix(left[k], right[k])
         assert np.array_equal(got_l, left) and np.array_equal(got_r, right)
-
-    def test_stack_matches_single_decompositions(self):
-        rng = np.random.default_rng(66)
-        stack = rng.dirichlet(np.ones(12), size=(3, 2)).reshape(3, 2, 3, 4)
-        values, left, right = residual_spectra(stack)
-        for a in range(3):
-            for b in range(2):
-                one = residual_singular_pairs(joint_pmf(stack[a, b]))
-                for got, ref in zip((values, left, right), one):
-                    assert np.allclose(got[a, b], ref, atol=1e-12)
 
     def test_guards(self):
         with pytest.raises(NonFiniteValue):
