@@ -37,15 +37,22 @@ def _keys(j: JointPmf, side: str) -> np.ndarray:
     return np.asarray(vals, dtype=float)
 
 
+def _correlation(j: JointPmf, f, g, constant: str) -> float:
+    """Pearson coefficient of the scores (f(X), g(Y)); raises
+    :class:`ZeroVariance` with the message ``constant`` when either score
+    is constant on its support."""
+    stats = pair_stats(j, ScoredPair(f=f, g=g))
+    if stats.var_f <= 0.0 or stats.var_g <= 0.0:
+        raise ZeroVariance(constant)
+    return stats.cov / math.sqrt(stats.var_f * stats.var_g)
+
+
 def pearson(j: JointPmf) -> float:
     """Pearson coefficient of the numerically embedded pair."""
     if j.x_values is None or j.y_values is None:
         raise MissingValues("pearson needs numeric embeddings on both sides")
-    stats = pair_stats(j, ScoredPair(f=np.asarray(j.x_values),
-                                     g=np.asarray(j.y_values)))
-    if stats.var_f <= 0.0 or stats.var_g <= 0.0:
-        raise ZeroVariance("an embedded variable is constant on its support")
-    return stats.cov / math.sqrt(stats.var_f * stats.var_g)
+    return _correlation(j, np.asarray(j.x_values), np.asarray(j.y_values),
+                        "an embedded variable is constant on its support")
 
 
 def grades(marginal) -> np.ndarray:
@@ -74,10 +81,8 @@ def y_grades(j: JointPmf) -> np.ndarray:
 
 def spearman(j: JointPmf) -> float:
     """Pearson coefficient of the grade-transformed pair."""
-    stats = pair_stats(j, ScoredPair(f=x_grades(j), g=y_grades(j)))
-    if stats.var_f <= 0.0 or stats.var_g <= 0.0:
-        raise ZeroVariance("grades are constant on one side")
-    return stats.cov / math.sqrt(stats.var_f * stats.var_g)
+    return _correlation(j, x_grades(j), y_grades(j),
+                        "grades are constant on one side")
 
 
 def kendall_tau_b(j: JointPmf) -> float:
@@ -133,22 +138,19 @@ def _check_comparator(comp: PairComparator, keys: np.ndarray,
     if vals.shape[0] != len(keys):
         raise ShapeMismatch(f"{name} comparator size {vals.shape[0]} "
                             f"!= alphabet size {len(keys)}")
-    k = len(keys)
-    for a in range(k):
-        for b in range(k):
-            if keys[a] >= keys[b]:
-                continue
-            # a strictly below b in the key order
-            if (vals[a, :] > vals[b, :] + _COMPARATOR_TOL).any():
-                raise NotMonotoneComparator(
-                    f"{name} comparator is not non-decreasing in its "
-                    f"first argument"
-                )
-            if (vals[:, a] < vals[:, b] - _COMPARATOR_TOL).any():
-                raise NotMonotoneComparator(
-                    f"{name} comparator is not non-increasing in its "
-                    f"second argument"
-                )
+    # a row above another in the key order may exceed it nowhere by more
+    # than the tolerance: each row is tested against the running maximum of
+    # the rows strictly below it (fmax skips NaN, which fails no test).  For
+    # the second argument, vals[c, a] < vals[c, b] - tol is tested as
+    # -vals[c, a] > -vals[c, b] + tol, which rounds the same.
+    order = np.argsort(keys)
+    below = np.searchsorted(keys[order], keys[order])  # keys strictly below
+    for rows, rule in ((vals[order], "non-decreasing in its first"),
+                       (-vals[:, order].T, "non-increasing in its second")):
+        top = np.fmax.accumulate(rows, axis=0)[below - 1]
+        if (top > rows + _COMPARATOR_TOL)[below > 0].any():
+            raise NotMonotoneComparator(
+                f"{name} comparator is not {rule} argument")
 
 
 def pair_rank_correlation(j: JointPmf, fx: PairComparator,

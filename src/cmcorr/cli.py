@@ -42,7 +42,7 @@ from .engine import (
 from .errors import InputError, NumericalFailure
 from .maxcorr import maximal_correlation
 from .oracle import OracleConfig, grid_oracle
-from .order import Poset, poset_from_pairs
+from .order import Poset, antichain, poset_from_pairs, total_order
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -55,34 +55,73 @@ SUITES = ("sandwich", "rank-dominance", "tensorization", "fkg", "mgf",
           "independence", "example3")
 
 
+def _list_of(name: str, items, ok, what: str) -> list:
+    """``items``, when it is a list whose entries all pass ``ok``."""
+    if not isinstance(items, list) or not all(map(ok, items)):
+        raise InputError(f"{name} must be a list of {what}")
+    return items
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float))
+
+
+def _is_pair(pair) -> bool:
+    """Two integer indices; a float must be integral."""
+    return isinstance(pair, list) and len(pair) == 2 and all(
+        isinstance(i, int) or isinstance(i, float) and i.is_integer()
+        for i in pair)
+
+
 def _parse_order(spec, labels) -> Poset:
     if spec is None or spec == "total":
-        return poset_from_pairs(labels, kind="total")
+        return total_order(labels)
     if spec == "antichain":
-        return poset_from_pairs(labels, kind="antichain")
+        return antichain(labels)
     if isinstance(spec, dict) and "pairs" in spec:
-        pairs = [(int(i), int(j)) for i, j in spec["pairs"]]
-        return poset_from_pairs(labels, pairs, kind="explicit")
+        pairs = _list_of("order pairs", spec["pairs"], _is_pair,
+                         "[i, j] pairs of integer indices")
+        return poset_from_pairs(labels, [(int(i), int(j)) for i, j in pairs])
     raise InputError(f"unrecognized order spec {spec!r}")
+
+
+def _side(doc: dict, side: str) -> dict:
+    """One side's spec, its labels and values checked.  The reports key
+    witnesses by label, so a side's labels are all strings or all finite
+    numbers: distinct labels then stay distinct as JSON keys, and sort."""
+    spec = doc.get(side)
+    if not isinstance(spec, dict) or "labels" not in spec:
+        raise InputError(f"instance file must define {side}.labels")
+    labels = spec["labels"]
+    if not (isinstance(labels, list)
+            and all(isinstance(v, str) for v in labels)):
+        _list_of(f"{side}.labels", labels, lambda v: isinstance(v, int)
+                 or isinstance(v, float) and math.isfinite(v),
+                 "strings or a list of finite numbers")
+    if spec.get("values") is not None:
+        _list_of(f"{side}.values", spec["values"], _is_number, "numbers")
+    return spec
 
 
 def load_instance(path: str) -> tuple[JointPmf, Poset, Poset]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    for side in ("x", "y"):
-        if side not in doc or "labels" not in doc[side]:
-            raise InputError(f"instance file must define {side}.labels")
+    if not isinstance(doc, dict):
+        raise InputError("instance file must hold a JSON object")
+    x, y = _side(doc, "x"), _side(doc, "y")
     if "pmf" not in doc:
         raise InputError("instance file must define pmf")
+    pmf = _list_of("pmf", doc["pmf"], lambda row: isinstance(row, list)
+                   and all(map(_is_number, row)), "rows of numbers")
     j = JointPmf(
-        x_labels=tuple(doc["x"]["labels"]),
-        y_labels=tuple(doc["y"]["labels"]),
-        p=np.asarray(doc["pmf"], dtype=float),
-        x_values=doc["x"].get("values"),
-        y_values=doc["y"].get("values"),
+        x_labels=tuple(x["labels"]),
+        y_labels=tuple(y["labels"]),
+        p=np.asarray(pmf, dtype=float),
+        x_values=x.get("values"),
+        y_values=y.get("values"),
     )
-    px = _parse_order(doc["x"].get("order"), j.x_labels)
-    py = _parse_order(doc["y"].get("order"), j.y_labels)
+    px = _parse_order(x.get("order"), j.x_labels)
+    py = _parse_order(y.get("order"), j.y_labels)
     return j, px, py
 
 
@@ -107,14 +146,9 @@ _VOLATILE_KEYS = ("runtime_seconds",)
 
 
 def _stable_diagnostics(diag: dict) -> dict:
-    out = {}
-    for key, val in diag.items():
-        if key in _VOLATILE_KEYS:
-            continue
-        if isinstance(val, tuple):
-            val = [list(b) if isinstance(b, tuple) else b for b in val]
-        out[key] = val
-    return out
+    # tuples, such as the winning partitions, are written as JSON arrays
+    return {key: val for key, val in diag.items()
+            if key not in _VOLATILE_KEYS}
 
 
 def _witness_doc(j: JointPmf, witness) -> dict:
@@ -135,7 +169,10 @@ def _report_entry(j, report) -> dict:
 def cmd_compute(args) -> int:
     j, px, py = load_instance(args.input)
     opts = CmcOptions(mode=args.mode.replace("-", "_"))
-    measures = MEASURES[:-1] if args.measure == "all" else (args.measure,)
+    measures = (args.measure,)
+    if args.measure == "all":  # every measure the file supports
+        measures = tuple(m for m in MEASURES[:-1] if m != "pearson"
+                         or None not in (j.x_values, j.y_values))
     # cmc and cmc_plus come from one solve
     cmc = cmc_exact(j, px, py, opts) \
         if {"cmc", "cmc_plus"} & set(measures) else None
@@ -192,25 +229,18 @@ def _parse_grid(text: str) -> list[tuple[float, float]]:
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "sandwich":
-        report = harness.verify_sandwich(args.seed, args.trials)
-    elif args.suite == "rank-dominance":
-        report = harness.verify_rank_dominance(args.seed, args.trials)
-    elif args.suite == "tensorization":
-        report = harness.verify_tensorization(args.seed, args.trials)
-    elif args.suite == "fkg":
+    if args.suite == "fkg":
         rng = np.random.default_rng(args.seed)
         biases = rng.uniform(0.05, 0.95, size=(args.trials, args.n))
         report = harness.verify_fkg(args.n, biases.tolist())
     elif args.suite == "mgf":
         report = harness.verify_mgf(args.seed, args.trials,
                                     _parse_grid(args.grid))
-    elif args.suite == "independence":
-        report = harness.verify_independence(args.seed, args.trials)
     elif args.suite == "example3":
         report = harness.verify_example3()
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown suite {args.suite!r}")
+    else:  # the suites that take only a seed and a trial count
+        verify = getattr(harness, "verify_" + args.suite.replace("-", "_"))
+        report = verify(args.seed, args.trials)
     print(report.summary())
     _write_out({
         "schema": "cmcorr.verify.v1",

@@ -151,7 +151,9 @@ def distinct_partitions(p: Poset) -> list[BlockPartition]:
     partitions.  Comparability components are partitioned independently,
     and every remainder is filled bottom-up without recursion; an element
     comparable to nothing is a block of its own in every face, so such
-    elements skip the components and are added once, as singletons.
+    elements skip the components and are added once, as singletons.  The
+    list comes in generation order, which is deterministic; callers that
+    need an order sort it (``_side_table`` does).
 
     Raises :class:`EnumerationTooLarge` as soon as any count shows that
     this side alone has more than ``FACE_LIMIT`` partitions.  Every
@@ -283,8 +285,8 @@ def distinct_partitions(p: Poset) -> list[BlockPartition]:
         own = fill(faces, comp, lambda rest: rest, partitions)
         check(len(parts) * len(own))
         parts = [a + b for a in parts for b in own]
-    return sorted((partition_from_blocks([*map(bits, part), *singles], n)
-                   for part in parts), key=lambda q: q.blocks)
+    return [partition_from_blocks([*map(bits, part), *singles], n)
+            for part in parts]
 
 
 def _quotient_scores(lower: np.ndarray, upper: np.ndarray,
@@ -436,27 +438,29 @@ _MEMO = _SideMemo()
 
 def _sides(px: Poset, py: Poset, extended: bool) -> list[_Side]:
     """The face counts and tables of both orders, from the memo or built
-    and kept there.
+    and kept there; an order on both sides is enumerated once.
 
     Raises :class:`EnumerationTooLarge` when the instance has more than
     ``FACE_LIMIT`` faces, before any table is built or anything is kept.
     """
     keys = [(p.size, p.strict_pairs, extended) for p in (px, py)]
-    held = [_MEMO.get(key) for key in keys]
-    parts = [None if side else distinct_partitions(p)
-             for p, side in zip((px, py), held)]
-    counts = [side.faces if side else len(q) for side, q in zip(held, parts)]
+    orders = dict(zip(keys, (px, py)))  # one entry per distinct order
+    held = {key: _MEMO.get(key) for key in orders}
+    parts = {key: distinct_partitions(p)
+             for key, p in orders.items() if held[key] is None}
+    counts = [held[key].faces if held[key] else len(parts[key])
+              for key in keys]
     n_faces = counts[0] * counts[1]
     if n_faces > FACE_LIMIT:
         raise EnumerationTooLarge(
             f"{counts[0]} x {counts[1]} = {n_faces} faces exceed the "
             f"limit {FACE_LIMIT}"
         )
-    for i, p in enumerate((px, py)):
-        if held[i] is None:
-            held[i] = _Side(counts[i], _side_table(p, parts[i], extended))
-            _MEMO.put(keys[i], held[i])
-    return held
+    for key, faces in parts.items():
+        held[key] = _Side(len(faces),
+                          _side_table(orders[key], faces, extended))
+        _MEMO.put(key, held[key])
+    return [held[key] for key in keys]
 
 
 def _stacks(tx: _Tables, ty: _Tables):

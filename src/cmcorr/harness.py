@@ -17,7 +17,6 @@ from .classic import kendall_tau_b, pearson, spearman
 from .dist import JointPmf, joint_pmf, marginal_x, marginal_y, product_pmf
 from .engine import (
     FACE_LIMIT,
-    CmcOptions,
     cmc_exact,
     cmc_plus,
     cmc_x_reversed,
@@ -33,8 +32,6 @@ from .order import (
     reverse,
     total_order,
 )
-
-_EXTENDED = CmcOptions(mode="extended")
 
 
 @dataclass(frozen=True)
@@ -78,12 +75,6 @@ def random_instances(seed: int, count: int, shape: tuple[int, int]):
     return out
 
 
-def _random_shapes(seed: int, count: int):
-    """``count`` seeded alphabet sizes, 2 to 4 symbols per side."""
-    rng = np.random.default_rng(seed ^ 0x5EED)
-    return [(int(a), int(b)) for a, b in rng.integers(2, 5, size=(count, 2))]
-
-
 def _total_orders(j: JointPmf) -> tuple[Poset, Poset]:
     return total_order(j.x_labels), total_order(j.y_labels)
 
@@ -116,41 +107,35 @@ def _run_suite(suite: str, seed: int | None, tolerance: float,
     )
 
 
+def _seeded_suite(suite: str, seed: int, trials: int, tolerance: float,
+                  trial) -> VerifyReport:
+    """Run ``trial(j, px, py) -> (violation, extra)`` on ``trials`` seeded
+    instances of 2 to 4 symbols per side, both sides total orders."""
+    def gen():
+        shapes = np.random.default_rng(seed ^ 0x5EED).integers(
+            2, 5, size=(trials, 2))
+        for t, shape in enumerate(shapes.tolist()):
+            j = random_instances(seed + t, 1, shape)[0]
+            violation, extra = trial(j, *_total_orders(j))
+            yield violation, _serialize_instance(j), extra
+    return _run_suite(suite, seed, tolerance, gen())
+
+
 def verify_sandwich(seed: int = 7, trials: int = 100) -> VerifyReport:
     """pearson <= cmc <= maximal correlation on total-order instances."""
-    def gen():
-        shapes = _random_shapes(seed, trials)
-        for t, shape in enumerate(shapes):
-            j = random_instances(seed + t, 1, shape)[0]
-            px, py = _total_orders(j)
-            low = pearson(j)
-            mid = cmc_exact(j, px, py, _EXTENDED).value
-            high = maximal_correlation(j).value
-            violation = max(low - mid, mid - high)
-            yield violation, _serialize_instance(j), {}
-    return _run_suite("sandwich", seed, 1e-8, gen())
+    def trial(j, px, py):
+        mid = cmc_exact(j, px, py).value
+        return max(pearson(j) - mid,
+                   mid - maximal_correlation(j).value), {}
+    return _seeded_suite("sandwich", seed, trials, 1e-8, trial)
 
 
 def verify_rank_dominance(seed: int = 11, trials: int = 100) -> VerifyReport:
     """Kendall tau-b and Spearman never exceed the clipped CMC."""
-    def gen():
-        shapes = _random_shapes(seed, trials)
-        for t, shape in enumerate(shapes):
-            j = random_instances(seed + t, 1, shape)[0]
-            px, py = _total_orders(j)
-            plus = cmc_plus(j, px, py, _EXTENDED)
-            violation = max(kendall_tau_b(j) - plus, spearman(j) - plus)
-            yield violation, _serialize_instance(j), {}
-    return _run_suite("rank-dominance", seed, 1e-8, gen())
-
-
-def _example2_factor() -> tuple[JointPmf, Poset, Poset]:
-    """Uniform binary pair with Y = X and the Y order reversed."""
-    j = joint_pmf([[0.5, 0.0], [0.0, 0.5]],
-                  x_values=(0, 1), y_values=(0, 1))
-    px = total_order(j.x_labels)
-    py = reverse(total_order(j.y_labels))
-    return j, px, py
+    def trial(j, px, py):
+        plus = cmc_plus(j, px, py)
+        return max(kendall_tau_b(j) - plus, spearman(j) - plus), {}
+    return _seeded_suite("rank-dominance", seed, trials, 1e-8, trial)
 
 
 def verify_tensorization(seed: int = 42, trials: int = 50) -> VerifyReport:
@@ -161,20 +146,22 @@ def verify_tensorization(seed: int = 42, trials: int = 50) -> VerifyReport:
     far above the factor value of -1.
     """
     def gen():
-        shapes = [(2, 2)] * trials
-        for t, shape in enumerate(shapes):
-            j1 = random_instances(seed + 2 * t, 1, shape)[0]
-            j2 = random_instances(seed + 2 * t + 1, 1, shape)[0]
+        for t in range(trials):
+            j1 = random_instances(seed + 2 * t, 1, (2, 2))[0]
+            j2 = random_instances(seed + 2 * t + 1, 1, (2, 2))[0]
             px1, py1 = _total_orders(j1)
             px2, py2 = _total_orders(j2)
-            factor = max(cmc_plus(j1, px1, py1, _EXTENDED),
-                         cmc_plus(j2, px2, py2, _EXTENDED))
+            factor = max(cmc_plus(j1, px1, py1),
+                         cmc_plus(j2, px2, py2))
             prod = cmc_plus(product_pmf(j1, j2),
-                            product(px1, px2), product(py1, py2), _EXTENDED)
+                            product(px1, px2), product(py1, py2))
             yield abs(prod - factor), _serialize_instance(j1), {}
-        j, px, py = _example2_factor()
+        # Example 2: a uniform binary pair with Y = X, Y's order reversed
+        j = joint_pmf([[0.5, 0.0], [0.0, 0.5]],
+                      x_values=(0, 1), y_values=(0, 1))
+        px, py = _total_orders(j)
         value = cmc_exact(product_pmf(j, j), product(px, px),
-                          product(py, py), _EXTENDED).value
+                          product(reverse(py), reverse(py))).value
         yield -1e-9 - value, _serialize_instance(j), {
             "discordant_self_product_value": value}
     return _run_suite("tensorization", seed, 1e-6, gen())
@@ -193,12 +180,12 @@ def _independent_bits_pmf(biases) -> JointPmf:
 
 
 def _hypercube_order(n: int, labels) -> Poset:
-    chain = total_order(["0", "1"])
-    cube = chain
-    for _ in range(n - 1):
-        cube = product(cube, chain)
-    return Poset(size=cube.size, labels=tuple(labels),
-                 strict_pairs=cube.strict_pairs)
+    """{0,1}^n under the componentwise order, element i being the bits of i:
+    i lies below j iff every bit set in i is set in j."""
+    size = 2 ** n
+    return Poset(size=size, labels=tuple(labels), strict_pairs=frozenset(
+        (i, j) for i in range(size) for j in range(size)
+        if i != j and i & ~j == 0))
 
 
 def verify_fkg(n: int, bias_list) -> VerifyReport:
@@ -222,7 +209,7 @@ def verify_fkg(n: int, bias_list) -> VerifyReport:
             j = _independent_bits_pmf(biases)
             px = _hypercube_order(n, j.x_labels)
             py = reverse(_hypercube_order(n, j.y_labels))
-            value = cmc_exact(j, px, py, _EXTENDED).value
+            value = cmc_exact(j, px, py).value
             yield value, _serialize_instance(j), {"biases": biases}
     return _run_suite("fkg", None, 1e-9, gen())
 
@@ -231,16 +218,11 @@ def verify_mgf(seed: int = 3, trials: int = 50,
                grid=None) -> VerifyReport:
     """The moment-generating-function bound never exceeds its target."""
     grid = default_mgf_grid() if grid is None else list(grid)
-    def gen():
-        shapes = _random_shapes(seed, trials)
-        for t, shape in enumerate(shapes):
-            j = random_instances(seed + t, 1, shape)[0]
-            px, py = _total_orders(j)
-            bound = mgf_bound_sup(j, grid)
-            target = max(cmc_exact(j, px, py, _EXTENDED).value,
-                         cmc_x_reversed(j, px, py, _EXTENDED).value)
-            yield bound - target, _serialize_instance(j), {}
-    return _run_suite("mgf", seed, 1e-7, gen())
+    def trial(j, px, py):
+        target = max(cmc_exact(j, px, py).value,
+                     cmc_x_reversed(j, px, py).value)
+        return mgf_bound_sup(j, grid) - target, {}
+    return _seeded_suite("mgf", seed, trials, 1e-7, trial)
 
 
 def verify_independence(seed: int = 5, trials: int = 100) -> VerifyReport:
@@ -250,21 +232,14 @@ def verify_independence(seed: int = 5, trials: int = 100) -> VerifyReport:
     distance) is logged in the details, not asserted, since no quantitative
     modulus is available.
     """
-    def gen():
-        shapes = _random_shapes(seed, trials)
-        for t, shape in enumerate(shapes):
-            j = random_instances(seed + t, 1, shape)[0]
-            px, py = _total_orders(j)
-            tv = 0.5 * float(np.abs(
-                j.p - np.outer(marginal_x(j), marginal_y(j))).sum())
-            both = max(cmc_exact(j, px, py, _EXTENDED).value,
-                       cmc_x_reversed(j, px, py, _EXTENDED).value)
-            violation = (1e-6 - both) if tv > 0.01 else -math.inf
-            extra = {}
-            if both <= 1e-9:
-                extra["near_zero_cmc_tv"] = tv
-            yield violation, _serialize_instance(j), extra
-    return _run_suite("independence", seed, 0.0, gen())
+    def trial(j, px, py):
+        tv = 0.5 * float(np.abs(
+            j.p - np.outer(marginal_x(j), marginal_y(j))).sum())
+        both = max(cmc_exact(j, px, py).value,
+                   cmc_x_reversed(j, px, py).value)
+        violation = (1e-6 - both) if tv > 0.01 else -math.inf
+        return violation, {"near_zero_cmc_tv": tv} if both <= 1e-9 else {}
+    return _seeded_suite("independence", seed, trials, 0.0, trial)
 
 
 def example3_min_disagreement(n: int) -> float:
@@ -273,16 +248,14 @@ def example3_min_disagreement(n: int) -> float:
     For uniform X on {0,1}^n and Y the componentwise complement of X, this
     is the least P(f(X) != g(Y)) over all balanced (2^{n-1} ones) monotone
     boolean f, g; it is strictly positive because complementation reverses
-    the order.
+    the order.  ``enumerate_monotone_boolean`` bounds the brute force: n = 4
+    (16 elements) is the largest cube it accepts.
     """
-    if n > 3:
-        raise SizeTooLarge("disagreement check supported for n <= 3")
-    labels = [format(i, f"0{n}b") for i in range(2 ** n)]
-    cube = _hypercube_order(n, labels)
+    size = 2 ** n
+    cube = _hypercube_order(n, map(str, range(size)))
     balanced = [np.asarray(f) for f in enumerate_monotone_boolean(cube)
                 if sum(f) == 2 ** (n - 1)]
-    size = 2 ** n
-    complement = np.array([size - 1 - i for i in range(size)])
+    complement = np.arange(size)[::-1]
     best = 1.0
     for f in balanced:
         for g in balanced:
@@ -295,7 +268,7 @@ def _complemented_cube_cmc(n: int) -> float:
     size = 2 ** n
     j = joint_pmf(np.fliplr(np.eye(size)) / size)
     return cmc_exact(j, _hypercube_order(n, j.x_labels),
-                     _hypercube_order(n, j.y_labels), _EXTENDED).value
+                     _hypercube_order(n, j.y_labels)).value
 
 
 def verify_example3() -> VerifyReport:

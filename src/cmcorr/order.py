@@ -64,13 +64,6 @@ class Poset:
     def pairs_sorted(self) -> list[tuple[int, int]]:
         return sorted(self.strict_pairs)
 
-    def comparable_matrix(self) -> np.ndarray:
-        """Reflexive comparability matrix: out[i, j] iff i = j or i < j."""
-        mat = np.eye(self.size, dtype=bool)
-        for i, j in self.strict_pairs:
-            mat[i, j] = True
-        return mat
-
     def is_total(self) -> bool:
         return len(self.strict_pairs) == self.size * (self.size - 1) // 2
 
@@ -157,32 +150,25 @@ def _close_transitively(size: int, pairs) -> frozenset[tuple[int, int]]:
     return frozenset((i, j) for i in rows for j in bits(above[i]))
 
 
-def poset_from_pairs(labels, pairs=(), kind: str = "explicit") -> Poset:
-    """Build a validated, transitively closed poset.
-
-    ``kind="total"`` ignores ``pairs`` and chains the elements in label
-    order; ``kind="antichain"`` yields the empty relation; ``kind="explicit"``
-    closes the given pairs transitively.
-    """
+def poset_from_pairs(labels, pairs=()) -> Poset:
+    """A validated poset: the given pairs, closed transitively."""
     labels = tuple(labels)
-    n = len(labels)
-    if kind == "total":
-        closed = frozenset((i, j) for i in range(n) for j in range(i + 1, n))
-    elif kind == "antichain":
-        closed = frozenset()
-    elif kind == "explicit":
-        closed = _close_transitively(n, pairs)
-    else:
-        raise InputError(f"unknown order kind {kind!r}")
-    return Poset(size=n, labels=labels, strict_pairs=closed)
+    return Poset(size=len(labels), labels=labels,
+                 strict_pairs=_close_transitively(len(labels), pairs))
 
 
 def total_order(labels) -> Poset:
-    return poset_from_pairs(labels, kind="total")
+    """The chain of the elements in label order."""
+    labels = tuple(labels)
+    n = len(labels)
+    return Poset(size=n, labels=labels, strict_pairs=frozenset(
+        (i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def antichain(labels) -> Poset:
-    return poset_from_pairs(labels, kind="antichain")
+    """The empty relation: no two elements are comparable."""
+    labels = tuple(labels)
+    return Poset(size=len(labels), labels=labels, strict_pairs=frozenset())
 
 
 def reverse(p: Poset) -> Poset:
@@ -201,13 +187,17 @@ def product(a: Poset, b: Poset) -> Poset:
     below ``(j, l)`` iff ``i`` is at-or-below ``j`` and ``k`` is at-or-below
     ``l`` with the two elements distinct.
     """
-    comp = np.kron(a.comparable_matrix(), b.comparable_matrix())
-    np.fill_diagonal(comp, False)
+    def at_or_below(p: Poset):
+        return [*p.strict_pairs, *((i, i) for i in range(p.size))]
+
+    n = b.size
     labels = tuple(
         f"({la},{lb})" for la in a.labels for lb in b.labels
     )
-    pairs = frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(comp)))
-    return Poset(size=a.size * b.size, labels=labels, strict_pairs=pairs)
+    pairs = frozenset((i * n + k, j * n + l)
+                      for i, j in at_or_below(a) for k, l in at_or_below(b)
+                      if i != j or k != l)
+    return Poset(size=a.size * n, labels=labels, strict_pairs=pairs)
 
 
 def is_monotone(f, p: Poset, tol: float = MONOTONE_TOL) -> bool:

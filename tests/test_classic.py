@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from cmcorr.classic import (
+    PairComparator,
+    _check_comparator,
     difference_comparator,
     grades,
     kendall_tau_b,
@@ -204,6 +208,50 @@ class TestPairRankCorrelation:
         bad = difference_comparator([1.0, 0.0])  # decreasing in first arg
         with pytest.raises(NotMonotoneComparator):
             pair_rank_correlation(j, bad, sign_comparator(j.y_values))
+
+
+def loop_violations(vals, keys, tol=1e-12):
+    """Reference: the arguments an O(k^2) loop over the key-ordered pairs
+    (a strictly below b) finds violated, first and second."""
+    first = second = False
+    for a, b in itertools.product(range(len(keys)), repeat=2):
+        if keys[a] < keys[b]:
+            first |= bool((vals[a, :] > vals[b, :] + tol).any())
+            second |= bool((vals[:, a] < vals[:, b] - tol).any())
+    return first, second
+
+
+class TestCheckComparator:
+    FIRST = "x comparator is not non-decreasing in its first argument"
+    SECOND = "x comparator is not non-increasing in its second argument"
+
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(13)
+        seen = set()
+        for _ in range(3000):
+            k = int(rng.integers(1, 7))
+            keys = rng.integers(0, 4, size=k).astype(float)  # with ties
+            # a sign or a difference comparator: monotone in the keys
+            scores = np.sort(rng.normal(size=4))[keys.astype(int)]
+            vals = np.sign(np.subtract.outer(keys, keys)) \
+                if rng.random() < 0.5 else np.subtract.outer(scores, scores)
+            for _ in range(int(rng.integers(0, 3))):
+                a, b = rng.integers(0, k, size=2)
+                vals[a, b] += rng.choice([-0.3, -2e-12, -5e-13, 5e-13,
+                                          2e-12, 0.3, np.nan])
+            first, second = loop_violations(vals, keys)
+            seen.add((first, second))
+            comp = PairComparator(vals)
+            if not (first or second):
+                _check_comparator(comp, keys, "x")
+                continue
+            with pytest.raises(NotMonotoneComparator) as info:
+                _check_comparator(comp, keys, "x")
+            if first != second:
+                assert str(info.value) == (self.FIRST if first
+                                           else self.SECOND)
+        assert seen == {(False, False), (True, False), (False, True),
+                        (True, True)}
 
 
 class TestRange:

@@ -213,6 +213,85 @@ class TestCompute:
             nulls += single["cmc_plus"]["value"] is None
         assert nulls == (mode == "paper-faithful")
 
+    def test_all_without_values_skips_pearson(self, tmp_path):
+        doc = {"x": {"labels": ["0", "1"]}, "y": {"labels": ["0", "1"]},
+               "pmf": DSBS_DOC["pmf"]}
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert main(["compute", str(path), "--out", str(out)]) == 0
+        measures = json.loads(out.read_text())["measures"]
+        assert sorted(measures) == ["cmc", "cmc_plus", "cmc_xrev", "kendall",
+                                    "maxcorr", "spearman"]
+        assert measures["cmc"]["value"] == pytest.approx(0.6, abs=1e-9)
+
+    def test_pearson_without_values_exits_one(self, tmp_path, capsys):
+        doc = {"x": {"labels": ["0", "1"]},
+               "y": {"labels": ["0", "1"], "values": [0, 1]},
+               "pmf": DSBS_DOC["pmf"]}
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps(doc))
+        assert main(["compute", str(path), "--measure", "pearson"]) == 1
+        assert capsys.readouterr().err == \
+            "error: pearson needs numeric embeddings on both sides\n"
+
+    @pytest.mark.parametrize("change", [
+        pytest.param({"x": 5}, id="side-not-object"),
+        pytest.param({"labels": 5}, id="labels-not-list"),
+        pytest.param({"order": {"pairs": 5}}, id="pairs-not-list"),
+        pytest.param({"labels": [{"a": 1}, "b"]}, id="unhashable-label"),
+        pytest.param({"labels": [1, "1"]}, id="labels-one-json-key"),
+        pytest.param({"labels": [0, "a"]}, id="labels-mixed-types"),
+        pytest.param({"labels": [float("nan"), 1.0]}, id="nan-label"),
+        pytest.param({"order": {"pairs": [[0.5, 1]]}}, id="fractional-index"),
+        pytest.param({"order": {"pairs": [["0", "1"]]}}, id="string-index"),
+        pytest.param({"order": {"pairs": [5]}}, id="pair-not-list"),
+        pytest.param({"order": {"pairs": [[0, 1, 1]]}}, id="pair-of-three"),
+        pytest.param({"values": 5}, id="values-not-list"),
+        pytest.param({"values": [[0], 1]}, id="value-not-number"),
+        pytest.param({"pmf": [[{}, 0.5], [0.25, 0.25]]}, id="pmf-entry"),
+        pytest.param({"doc": [DSBS_DOC]}, id="doc-not-object"),
+        pytest.param({"doc": 5}, id="doc-number"),
+    ])
+    def test_malformed_instance_exits_one(self, tmp_path, capsys, change,
+                                          monkeypatch):
+        import cmcorr.cli as cli_mod
+
+        doc = json.loads(json.dumps(DSBS_DOC))
+        if "doc" in change:
+            doc = change["doc"]
+        elif "x" in change or "pmf" in change:
+            doc.update(change)
+        else:
+            doc["x"].update(change)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        solved = []
+        monkeypatch.setattr(cli_mod, "cmc_exact",
+                            lambda *a: solved.append(a))
+        assert main(["compute", str(path), "--measure", "cmc"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not solved  # refused before any solve
+
+    def test_integral_float_indices_accepted(self, tmp_path):
+        doc = json.loads(json.dumps(DISCORDANT_DOC))
+        doc["y"]["order"] = {"pairs": [[1.0, 0]]}
+        path = tmp_path / "floats.json"
+        path.write_text(json.dumps(doc))
+        j, px, py = load_instance(str(path))
+        assert py.strict_pairs == {(1, 0)}
+
+    def test_numeric_labels_keep_their_keys(self, tmp_path):
+        doc = json.loads(json.dumps(DSBS_DOC))
+        doc["x"]["labels"] = [10, 2]
+        path = tmp_path / "numbers.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert main(["compute", str(path), "--measure", "cmc",
+                     "--out", str(out)]) == 0
+        witness = json.loads(out.read_text())["measures"]["cmc"]["witness"]
+        assert sorted(witness["f"]) == ["10", "2"]
+
 
 class TestOracle:
     def test_dsbs_gap(self, dsbs_path, tmp_path):
@@ -259,6 +338,20 @@ class TestVerify:
 
     def test_unknown_suite_exits_one(self):
         assert main(["verify", "unknown"]) == 1
+
+    @pytest.mark.parametrize("suite", ["sandwich", "rank-dominance",
+                                       "tensorization", "independence"])
+    def test_seed_and_trials_suites_by_name(self, tmp_path, suite):
+        import cmcorr.harness as harness
+
+        out = tmp_path / "v.json"
+        assert main(["verify", suite, "--seed", "4", "--trials", "3",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        verify = getattr(harness, "verify_" + suite.replace("-", "_"))
+        report = verify(4, 3)
+        assert (doc["suite"], doc["trials"], doc["max_violation"]) == \
+            (report.suite, report.trials, report.max_violation)
 
     def test_violation_exits_three(self, tmp_path, monkeypatch):
         import cmcorr.cli as cli_mod

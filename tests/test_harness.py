@@ -17,6 +17,7 @@ from cmcorr.harness import (
     verify_sandwich,
     verify_tensorization,
 )
+from cmcorr.order import product, total_order
 
 
 def validate(j):
@@ -126,9 +127,26 @@ class TestExample3:
     def test_three_bits_positive(self):
         assert example3_min_disagreement(3) > 0.0
 
+    def test_four_bits(self):
+        # 168 monotone functions on the 16-element cube, 24 of them balanced
+        assert example3_min_disagreement(4) == 0.5
+
     def test_size_guard(self):
-        with pytest.raises(SizeTooLarge):
-            example3_min_disagreement(4)
+        # the 32-element cube is past the monotone enumerator's limit
+        with pytest.raises(SizeTooLarge) as info:
+            example3_min_disagreement(5)
+        assert info.traceback[-1].frame.f_globals["__name__"] == \
+            "cmcorr.order"
+
+    def test_hypercube_is_the_repeated_product(self):
+        chain = total_order(["0", "1"])
+        cube = chain
+        for n in range(1, 5):
+            labels = [format(i, f"0{n}b") for i in range(2 ** n)]
+            got = harness._hypercube_order(n, labels)
+            assert got.strict_pairs == cube.strict_pairs
+            assert got.labels == tuple(labels)
+            cube = product(cube, chain)
 
     def test_suite(self):
         report = verify_example3()

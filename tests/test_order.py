@@ -101,23 +101,48 @@ def chain(n):
     return total_order([str(i) for i in range(n)])
 
 
+def dense_product_pairs(a, b):
+    """Reference: the Kronecker product of the reflexive comparability
+    matrices, diagonal dropped."""
+    def at_or_below(p):
+        mat = np.eye(p.size, dtype=bool)
+        for i, j in p.strict_pairs:
+            mat[i, j] = True
+        return mat
+
+    comp = np.kron(at_or_below(a), at_or_below(b))
+    np.fill_diagonal(comp, False)
+    return frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(comp)))
+
+
+def random_poset(rng, n):
+    perm = rng.permutation(n)
+    density = rng.uniform(0.0, 0.7)
+    pairs = {(int(perm[i]), int(perm[k])) for i in range(n)
+             for k in range(i + 1, n) if rng.random() < density}
+    return poset_from_pairs([str(i) for i in range(n)], pairs)
+
+
 class TestConstruction:
     def test_total_two_chain(self):
-        p = poset_from_pairs(["a", "b"], kind="total")
+        p = total_order(["a", "b"])
         assert p.strict_pairs == {(0, 1)}
 
+    def test_total_chains_in_label_order(self):
+        p = total_order("abcd")
+        assert p.strict_pairs == {(i, j) for i in range(4)
+                                  for j in range(i + 1, 4)}
+        assert p.labels == ("a", "b", "c", "d") and p.is_total()
+
     def test_antichain_is_empty_relation(self):
-        p = poset_from_pairs(["a", "b", "c"], kind="antichain")
+        p = antichain(["a", "b", "c"])
         assert p.strict_pairs == frozenset()
+        assert p == poset_from_pairs(["a", "b", "c"], ())
 
     def test_explicit_closure(self):
         # hand transitive closure of 0<1<2
-        p = poset_from_pairs(["a", "b", "c"], {(0, 1), (1, 2)}, kind="explicit")
+        p = poset_from_pairs(["a", "b", "c"], {(0, 1), (1, 2)})
         assert p.strict_pairs == {(0, 1), (1, 2), (0, 2)}
-
-    def test_total_ignores_pairs(self):
-        p = poset_from_pairs(["a", "b"], {(1, 0)}, kind="total")
-        assert p.strict_pairs == {(0, 1)}
 
     def test_cycle_detected(self):
         with pytest.raises(CycleDetected):
@@ -126,12 +151,10 @@ class TestConstruction:
             poset_from_pairs(["a", "b", "c"], {(0, 1), (1, 2), (2, 0)})
 
     def test_duplicate_label(self):
-        with pytest.raises(DuplicateLabel):
-            poset_from_pairs(["a", "a"], kind="antichain")
-
-    def test_unknown_kind(self):
-        with pytest.raises(InputError):
-            poset_from_pairs(["a"], kind="chain")
+        for build in (antichain, total_order,
+                      lambda labels: poset_from_pairs(labels, ())):
+            with pytest.raises(DuplicateLabel):
+                build(["a", "a"])
 
     def test_direct_constructor_requires_closure(self):
         with pytest.raises(InputError):
@@ -247,6 +270,39 @@ class TestProduct:
     def test_labels_row_major(self):
         p = product(total_order(["a", "b"]), total_order(["u", "v"]))
         assert p.labels == ("(a,u)", "(a,v)", "(b,u)", "(b,v)")
+
+    def test_matches_dense_reference(self):
+        rng = np.random.default_rng(65)
+        factors = [chain(1), chain(3), reverse(chain(4)), antichain("abc"),
+                   product(chain(2), chain(2)),
+                   product(product(chain(2), reverse(chain(2))), chain(2))]
+        factors += [random_poset(rng, int(rng.integers(1, 7)))
+                    for _ in range(30)]
+        for a in factors:
+            for b in factors[:12]:
+                p = product(a, b)
+                assert p.strict_pairs == dense_product_pairs(a, b)
+                assert p.size == a.size * b.size
+        # products of products, on both sides
+        for _ in range(10):
+            a, b, c = (random_poset(rng, int(rng.integers(1, 4)))
+                       for _ in range(3))
+            for p, q in ((product(a, b), c), (a, product(b, c))):
+                assert product(p, q).strict_pairs == \
+                    dense_product_pairs(p, q)
+
+    def test_antichain_product_memory(self):
+        # a dense comparability matrix of the product would hold 22,500^2
+        # booleans, about 500 MB; the product has no pairs at all
+        a = antichain([str(i) for i in range(150)])
+        tracemalloc.start()
+        try:
+            p = product(a, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.size == 22500 and p.strict_pairs == frozenset()
+        assert peak < 10e6
 
 
 class TestIsMonotone:
