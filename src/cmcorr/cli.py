@@ -262,7 +262,12 @@ def cmd_from_samples(args) -> int:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["x", "y"]:
             raise InputError('CSV must start with the header "x,y"')
-        rows = [(row[0], row[1]) for row in reader if row]
+        rows = []
+        for row in filter(None, reader):  # blank lines are skipped
+            if len(row) != 2:
+                raise InputError(f"CSV line {reader.line_num}: expected 2 "
+                                 f"fields (x,y), got {len(row)}")
+            rows.append(row)
     j = empirical_from_samples(
         (float(x), float(y)) for x, y in rows
     )

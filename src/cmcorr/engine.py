@@ -29,19 +29,21 @@ Only candidates within rounding (``TIE_WINDOW``) of the best covariance
 tie, so the report is the best certified covariance.  Instances with more
 than ``FACE_LIMIT`` faces are refused before any spectral work.  The faces
 and tables of an order depend on the order alone, so those of recently
-solved orders are kept in a small memo keyed on ``(size, strict_pairs,
-extended)`` and bounded by the partitions it holds (``MEMO_PARTITIONS``).
+solved orders are kept in a small memo keyed on ``(size, strict_pairs)``
+and bounded by the partitions it holds (``MEMO_PARTITIONS``).
 
-Two candidate policies are supported:
+Every stack is solved for the extended candidates; the two candidate
+policies differ only in which of them ``cmc_exact`` keeps:
 
 * ``extended`` (default): all singular indices i >= 2 with both
   orientations (cov = +lambda_i and cov = -lambda_i), plus one structural
   fallback per face built from quotient depths, so negative and zero
   optima are certified as well.  This mode always returns a value.
 * ``paper_faithful``: only the second singular pair in positive
-  orientation, testing the pair and its global sign flip.  When no such
-  candidate is monotone on any face, the report carries a NaN value and a
-  ``no_witness`` diagnostic instead of a fabricated number.
+  orientation, testing the pair and its global sign flip: a filter on the
+  extended candidates.  When no such candidate is monotone on any face, the
+  report carries a NaN value and a ``no_witness`` diagnostic instead of a
+  fabricated number.
 """
 
 from __future__ import annotations
@@ -104,9 +106,11 @@ FACE_LIMIT = 2 ** 16
 class CmcOptions:
     """The exact engine's one knob: the candidate policy, one of ``MODES``.
 
-    The tolerances are fixed (``order.MONOTONE_TOL`` for the monotone
-    check, ``TIE_TOL`` for ties), and so is the size guard: instances with
-    more than ``FACE_LIMIT`` faces raise :class:`EnumerationTooLarge`.
+    The policy filters the candidates every face is solved for, so both
+    modes share one solve and one memo.  The tolerances are fixed
+    (``order.MONOTONE_TOL`` for the monotone check, ``TIE_TOL`` for ties),
+    and so is the size guard: instances with more than ``FACE_LIMIT`` faces
+    raise :class:`EnumerationTooLarge`.
     """
 
     mode: str = "extended"
@@ -336,16 +340,13 @@ class _Tables:
     parts: tuple[BlockPartition, ...]
     block_of: np.ndarray  # (A, size) block of each symbol
     pairs: np.ndarray     # (2E,) lower ends of the strict pairs, then upper
-    scores: np.ndarray | None  # (A, size) quotient depths, zero past k;
-    #                            extended mode only
+    scores: np.ndarray    # (A, size) quotient depths, zero past k
     runs: tuple[tuple[int, int, int], ...]  # (k, start, stop) per count k
 
     def rows(self, start: int, stop: int) -> _Tables:
         """The tables of the partitions ``parts[start:stop]``."""
         return _Tables(self.parts[start:stop], self.block_of[start:stop],
-                       self.pairs,
-                       None if self.scores is None
-                       else self.scores[start:stop],
+                       self.pairs, self.scores[start:stop],
                        tuple((k, max(a, start) - start, min(b, stop) - start)
                              for k, a, b in self.runs
                              if a < stop and b > start))
@@ -356,8 +357,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _side_table(p: Poset, parts: Sequence[BlockPartition],
-                extended: bool) -> _Tables:
+def _side_table(p: Poset, parts: Sequence[BlockPartition]) -> _Tables:
     """The tables of the partitions with at least two blocks; a face with a
     single block on either side has no candidates."""
     group = sorted((q for q in parts if len(q.blocks) >= 2),
@@ -366,16 +366,14 @@ def _side_table(p: Poset, parts: Sequence[BlockPartition],
     lower, upper = pairs
     block_of = _frozen(np.array([q.block_of for q in group],
                                 dtype=np.intp).reshape(len(group), p.size))
-    scores = None
-    if extended:
-        # depths over all ``size`` block labels: a partition has no edge
-        # into the labels past its own k, so their depths stay zero
-        step = max(1, _STACK_ENTRIES // max(1, len(lower)))
-        scores = _frozen(np.concatenate([np.zeros((0, p.size))] + [
-            _quotient_scores(rows[:, lower], rows[:, upper], p.size)
-            for rows in (block_of[a:a + step]
-                         for a in range(0, len(group), step))
-        ]))
+    # depths over all ``size`` block labels: a partition has no edge into
+    # the labels past its own k, so their depths stay zero
+    step = max(1, _STACK_ENTRIES // max(1, len(lower)))
+    scores = _frozen(np.concatenate([np.zeros((0, p.size))] + [
+        _quotient_scores(rows[:, lower], rows[:, upper], p.size)
+        for rows in (block_of[a:a + step]
+                     for a in range(0, len(group), step))
+    ]))
     counts = [len(q.blocks) for q in group]
     runs = tuple((k, bisect_left(counts, k), bisect_right(counts, k))
                  for k in sorted(set(counts)))
@@ -399,11 +397,11 @@ class _SideMemo:
     """The face counts and tables of the orders solved last, least recently
     used first, holding at most ``MEMO_PARTITIONS`` partitions in all.
 
-    Keys are ``(size, strict_pairs, extended)``: the faces depend on the
-    order alone, not on its labels, the pmf or ``FACE_LIMIT`` (a held
-    order over a lowered limit is refused by its instance's face count),
-    and the tables only add the structural scores of extended mode.  A
-    lock keeps the count right when several threads solve at once.
+    Keys are ``(size, strict_pairs)``: the faces and tables depend on the
+    order alone, not on its labels, the pmf, the mode or ``FACE_LIMIT`` (a
+    held order over a lowered limit is refused by its instance's face
+    count).  A lock keeps the count right when several threads solve at
+    once.
     """
 
     def __init__(self):
@@ -436,14 +434,14 @@ class _SideMemo:
 _MEMO = _SideMemo()
 
 
-def _sides(px: Poset, py: Poset, extended: bool) -> list[_Side]:
+def _sides(px: Poset, py: Poset) -> list[_Side]:
     """The face counts and tables of both orders, from the memo or built
     and kept there; an order on both sides is enumerated once.
 
     Raises :class:`EnumerationTooLarge` when the instance has more than
     ``FACE_LIMIT`` faces, before any table is built or anything is kept.
     """
-    keys = [(p.size, p.strict_pairs, extended) for p in (px, py)]
+    keys = [(p.size, p.strict_pairs) for p in (px, py)]
     orders = dict(zip(keys, (px, py)))  # one entry per distinct order
     held = {key: _MEMO.get(key) for key in orders}
     parts = {key: distinct_partitions(p)
@@ -457,8 +455,7 @@ def _sides(px: Poset, py: Poset, extended: bool) -> list[_Side]:
             f"limit {FACE_LIMIT}"
         )
     for key, faces in parts.items():
-        held[key] = _Side(len(faces),
-                          _side_table(orders[key], faces, extended))
+        held[key] = _Side(len(faces), _side_table(orders[key], faces))
         _MEMO.put(key, held[key])
     return [held[key] for key in keys]
 
@@ -560,6 +557,7 @@ class _Kept(NamedTuple):
 
     hit: np.ndarray       # (Ax, Ay, T) kept
     flip: np.ndarray      # (Ax, Ay, T) kept as the global flip of the pair
+    tested: np.ndarray    # (Ax, Ay, T) tests made; a tested flip is one more
     cov: np.ndarray       # (Ax, Ay, T) covariance
     f: np.ndarray         # (Ax, Ay, T, nx) block functions, padded
     g: np.ndarray         # (Ax, Ay, T, ny)
@@ -585,7 +583,7 @@ class _Kept(NamedTuple):
         ), bool(self.ties[a, b])
 
 
-def _solve_stack(js: JointPmf, tx: _Tables, ty: _Tables, opts: CmcOptions):
+def _solve_stack(js: JointPmf, tx: _Tables, ty: _Tables):
     """Every face of one stack at once, whatever its shapes (kx, ky).
 
     The merge, the spectral pass (:func:`padded_residual_spectra`) and the
@@ -595,10 +593,9 @@ def _solve_stack(js: JointPmf, tx: _Tables, ty: _Tables, opts: CmcOptions):
     renormalization total of its merged pmfs is taken and, inside the
     spectral pass, one SVD.
 
-    Returns ``(kept, checked, degenerate)`` with ``kept`` a list of
-    :class:`_Kept`.
+    Returns ``(kept, degenerate)`` with ``kept`` the :class:`_Kept` of
+    the svd candidates in each orientation, then of the structural ones.
     """
-    extended = opts.mode == "extended"
     merged = _merge(js.p, tx.block_of, ty.block_of)
     ax, ay, nx, ny = merged.shape
     totals = np.empty((ax, ay, 1, 1))
@@ -615,47 +612,38 @@ def _solve_stack(js: JointPmf, tx: _Tables, ty: _Tables, opts: CmcOptions):
     # only neighbours within a face's spectrum can tie
     ties = ((np.abs(np.diff(values, axis=-1)) <= TIE_TOL)
             & real[..., 1:]).sum(axis=-1)
-    # paper_faithful tests the second singular pair alone
-    svd = slice(0, left.shape[2] if extended else 1)
     # (Ax, Ay, n, 1) marginals, zero past each face's blocks
     wx, wy = wx[..., None], wy[..., None]
     # (Ax, Ay, T, n): the block functions of singular index t + 2; only
     # the padded blocks have zero mass, and their entries stay zero
-    f = left[:, :, svd] / np.swapaxes(
-        np.sqrt(np.where(wx > 0.0, wx, 1.0)), -1, -2)
-    g = right[:, :, svd] / np.swapaxes(
-        np.sqrt(np.where(wy > 0.0, wy, 1.0)), -1, -2)
-    feasible = real[..., svd] & _standardized(wx, f) & _standardized(wy, g)
-    if extended:
-        # the structural fallback rides along as one more row
-        fn, ok_f = _normalize(wx, tx.scores[:, None, None])
-        gn, ok_g = _normalize(wy, ty.scores[None, :, None])
-        f = np.concatenate([f, fn], axis=2)
-        g = np.concatenate([g, gn], axis=2)
+    f = left / np.swapaxes(np.sqrt(np.where(wx > 0.0, wx, 1.0)), -1, -2)
+    g = right / np.swapaxes(np.sqrt(np.where(wy > 0.0, wy, 1.0)), -1, -2)
+    feasible = real & _standardized(wx, f) & _standardized(wy, g)
+    # the structural fallback rides along as one more row
+    fn, ok_f = _normalize(wx, tx.scores[:, None, None])
+    gn, ok_g = _normalize(wy, ty.scores[None, :, None])
+    f = np.concatenate([f, fn], axis=2)
+    g = np.concatenate([g, gn], axis=2)
     up_f, down_f = _monotone(f, tx.block_of[:, None, None], tx.pairs)
     up_g, down_g = _monotone(g, ty.block_of[None, :, None], ty.pairs)
     cov = _cov(merged, wx, wy, f, g)
     kept = []
-    checked = 0
-    svd_f, svd_g = f[..., svd, :], g[..., svd, :]
-    for orientation in (1, -1) if extended else (1,):
+    svd, last = slice(0, -1), slice(-1, None)
+    for orientation in (1, -1):
         # the pair is tested first, then its global flip, which has the
         # same covariance
         first = feasible & up_f[..., svd] & up_g[..., svd]
         flip = feasible & ~first
-        checked += np.count_nonzero(feasible) + np.count_nonzero(flip)
         kept.append(_Kept(first | (flip & down_f[..., svd] & down_g[..., svd]),
-                          flip, orientation * cov[..., svd], svd_f, svd_g,
-                          tx, ty, ties, "svd", orientation))
+                          flip, feasible.astype(np.intp) + flip,
+                          orientation * cov[..., svd], f[..., svd, :],
+                          g[..., svd, :], tx, ty, ties, "svd", orientation))
         up_g, down_g = down_g, up_g
-    if extended:
-        ok = ok_f & ok_g
-        checked += np.count_nonzero(ok)
-        last = slice(svd.stop, None)
-        kept.append(_Kept(ok & up_f[..., last] & up_g[..., last],
-                          np.zeros_like(ok), cov[..., last], f[..., last, :],
-                          g[..., last, :], tx, ty, ties, "structural", 1))
-    return kept, checked, int(ties.sum())
+    ok = ok_f & ok_g
+    kept.append(_Kept(ok & up_f[..., last] & up_g[..., last],
+                      np.zeros_like(ok), ok, cov[..., last], f[..., last, :],
+                      g[..., last, :], tx, ty, ties, "structural", 1))
+    return kept, int(ties.sum())
 
 
 def _extend_monotone(sub_values: np.ndarray, keep: tuple[int, ...],
@@ -700,17 +688,23 @@ def cmc_exact(j: JointPmf, px: Poset, py: Poset,
     """
     start = time.perf_counter()
     js, pxs, pys, keep_x, keep_y = strip_zero_support(j, px, py)
-    side_x, side_y = _sides(pxs, pys, opts.mode == "extended")
+    side_x, side_y = _sides(pxs, pys)
     # each stack is reduced before the next is solved: only the candidates
     # within TIE_WINDOW of the best covariance so far are kept
     best_cov = -math.inf
     near: list[tuple[Candidate, bool]] = []
     checked = n_kept = degenerate = 0
     for tx, ty in _stacks(side_x.table, side_y.table):
-        kept, n, d = _solve_stack(js, tx, ty, opts)
-        checked += n
+        kept, d = _solve_stack(js, tx, ty)
+        if opts.mode == "paper_faithful":
+            # the literal set: the second singular pair, positive
+            # orientation; the other fields are read only where hit holds
+            kept = [k._replace(hit=k.hit[..., :1], tested=k.tested[..., :1],
+                               cov=k.cov[..., :1])
+                    for k in kept if k.kind == "svd" and k.orientation > 0]
         degenerate += d
         for k in kept:
+            checked += int(k.tested.sum())
             if k.hit.any():
                 n_kept += np.count_nonzero(k.hit)
                 best_cov = max(best_cov, float(k.cov[k.hit].max()))

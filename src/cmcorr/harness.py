@@ -23,10 +23,11 @@ from .engine import (
     default_mgf_grid,
     mgf_bound_sup,
 )
-from .errors import CapExceeded, SizeTooLarge
+from .errors import CapExceeded, InputError, SizeTooLarge
 from .maxcorr import maximal_correlation
 from .order import (
     Poset,
+    check_enumerable,
     enumerate_monotone_boolean,
     product,
     reverse,
@@ -249,9 +250,13 @@ def example3_min_disagreement(n: int) -> float:
     is the least P(f(X) != g(Y)) over all balanced (2^{n-1} ones) monotone
     boolean f, g; it is strictly positive because complementation reverses
     the order.  ``enumerate_monotone_boolean`` bounds the brute force: n = 4
-    (16 elements) is the largest cube it accepts.
+    (16 elements) is the largest cube it accepts, and a larger n is refused
+    before its cube is built.  n < 1 has no balanced function.
     """
+    if n < 1:
+        raise InputError(f"example 3 needs at least one bit, not n = {n}")
     size = 2 ** n
+    check_enumerable(size)
     cube = _hypercube_order(n, map(str, range(size)))
     balanced = [np.asarray(f) for f in enumerate_monotone_boolean(cube)
                 if sum(f) == 2 ** (n - 1)]

@@ -213,12 +213,19 @@ def is_monotone(f, p: Poset, tol: float = MONOTONE_TOL) -> bool:
     return True
 
 
-def enumerate_monotone_boolean(p: Poset) -> list[tuple[int, ...]]:
-    """All 0/1 monotone functions (up-set indicators), lexicographically."""
-    if p.size > _ENUM_LIMIT:
+def check_enumerable(size: int) -> None:
+    """Refuse an order of ``size`` elements, more than
+    :func:`enumerate_monotone_boolean` accepts, with :class:`SizeTooLarge`;
+    callers may check before they build the order."""
+    if size > _ENUM_LIMIT:
         raise SizeTooLarge(
             f"monotone enumeration limited to {_ENUM_LIMIT} elements"
         )
+
+
+def enumerate_monotone_boolean(p: Poset) -> list[tuple[int, ...]]:
+    """All 0/1 monotone functions (up-set indicators), lexicographically."""
+    check_enumerable(p.size)
     pairs = p.pairs_sorted()
     out = []
     for bits in itertools.product((0, 1), repeat=p.size):

@@ -403,6 +403,16 @@ class TestFromSamples:
         csv.write_text("a,b\n0,0\n")
         assert main(["from-samples", str(csv)]) == 1
 
+    @pytest.mark.parametrize("row, fields", [("1", 1), ("1,2,3", 3)])
+    def test_row_without_two_fields_exits_one(self, tmp_path, capsys, row,
+                                              fields):
+        # a short row is no traceback, and a long one loses no field
+        csv = tmp_path / "samples.csv"
+        csv.write_text(f"x,y\n0,0\n\n{row}\n")
+        assert main(["from-samples", str(csv)]) == 1
+        assert f"line 4: expected 2 fields (x,y), got {fields}" in \
+            capsys.readouterr().err
+
 
 class TestRepeatedCalls:
     """``main`` reuses one parser per process; back-to-back calls must

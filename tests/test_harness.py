@@ -5,7 +5,7 @@ import pytest
 
 import cmcorr.harness as harness
 from cmcorr.dist import JointPmf
-from cmcorr.errors import CapExceeded, SizeTooLarge
+from cmcorr.errors import CapExceeded, InputError, SizeTooLarge
 from cmcorr.harness import (
     example3_min_disagreement,
     random_instances,
@@ -137,6 +137,19 @@ class TestExample3:
             example3_min_disagreement(5)
         assert info.traceback[-1].frame.f_globals["__name__"] == \
             "cmcorr.order"
+
+    @pytest.mark.parametrize("n, error", [(0, InputError), (-1, InputError),
+                                          (5, SizeTooLarge),
+                                          (40, SizeTooLarge)])
+    def test_refused_before_the_cube_is_built(self, monkeypatch, n, error):
+        # no balanced function exists below one bit, and 2^n past the
+        # enumerator's limit is refused without building 2^n labels
+        def build(*args):
+            raise AssertionError("the cube was built")
+
+        monkeypatch.setattr(harness, "_hypercube_order", build)
+        with pytest.raises(error):
+            example3_min_disagreement(n)
 
     def test_hypercube_is_the_repeated_product(self):
         chain = total_order(["0", "1"])
