@@ -28,8 +28,18 @@ unsorted: the rare rows the rounding makes equal cannot change a max, so
 only the restart candidates are deduplicated, and the restarts are the
 first distinct rows by best-response value, then by row.
 
-Every value the oracle reports is the covariance of a feasible monotone
-pair, so it can never exceed the true CMC.
+Every table that depends on the order and the step alone is built once and
+held, read-only: the row counts, the canonical integer rows of the last
+``_HELD_GRIDS`` grids of at most ``_HELD_ROWS`` rows (a larger grid is built
+and used but not kept), and the pooling tables of each alphabet size.  The
+keys are the order's structure, ``(size, strict_pairs)``, never its labels
+or the pmf, and ``GRID_ROW_LIMIT`` is checked on every call, held grid or
+not.
+
+Every value the oracle reports is the covariance of a monotone pair, so it
+is a lower bound on the true CMC up to rounding only: the grid profiles are
+rounded to 12 decimals, so their variance is 1 only to about 1e-12, and the
+oracle has been seen up to 2.4e-13 above the exact engine.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +76,16 @@ _POOL_ENTRIES = 1 << 20
 # 8 MB: a diamond x vee at step 0.02 peaks at 18 MB traced (161 MB with
 # chunks of ten million).
 _PAIR_CHUNK = 1 << 20
+# The canonical grid rows of the orders and steps used last are held, at
+# most ``_HELD_GRIDS`` grids of at most ``_HELD_ROWS`` integer rows each, so
+# at most 21 MB of rows in all (2.6 MB per grid of a 5-element order); a
+# larger grid is built and used but not kept.  At step 0.02 a 4-chain has
+# 23,426 rows and a diamond 45,526, while a 5-chain has 316,251 and a
+# 4-antichain 515,201.  A sweep that cycles through more orders than
+# ``_HELD_GRIDS`` misses on every one of them, so the bound leaves room for
+# a mix of several orders: the benchmark's oracle rounds use five.
+_HELD_GRIDS = 8
+_HELD_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -82,19 +103,75 @@ class OracleConfig:
             raise InputError("restart_count must be positive")
 
 
+class _PoolTables(NamedTuple):
+    """The pooling of ``n`` sorted positions into contiguous blocks.
+
+    Every block is a span [a, b) of sorted positions; the faces of the
+    monotone cone are the contiguous partitions with at least two blocks,
+    face ``mask`` (1 <= mask < 2^(n-1)) cutting after sorted position
+    ``gap`` when bit ``gap`` is set.  Every array is read-only, since the
+    tables are held (see ``_pool_tables``).
+    """
+
+    member: np.ndarray      # (spans, n) 0/1: the positions of each span
+    in_face: np.ndarray     # (faces, spans) 0/1: the blocks of each face
+    cover: np.ndarray       # (faces, n) block span of each position
+    lower: np.ndarray       # (pairs,) lower span of each adjacent block pair
+    upper: np.ndarray       # (pairs,) upper span of the same pair
+    face_pairs: np.ndarray  # (faces, n - 1) pairs of each face, padded
+
+
+@functools.lru_cache(maxsize=_TOTAL_SIDE_LIMIT)
+def _pool_tables(n: int) -> _PoolTables:
+    """The pooling tables of ``n`` positions, built once per ``n``.
+
+    A face with fewer than n - 1 adjacent block pairs repeats its first
+    pair in ``face_pairs``, which an or over its pairs cannot see.
+    """
+    spans = [(a, b) for a in range(n) for b in range(a + 1, n + 1)]
+    span_at = {ab: k for k, ab in enumerate(spans)}
+    faces = []
+    for mask in range(1, 2 ** (n - 1)):
+        cuts = [0] + [gap + 1 for gap in range(n - 1) if mask >> gap & 1]
+        faces.append([span_at[ab] for ab in zip(cuts, cuts[1:] + [n])])
+    member = np.array([[a <= i < b for i in range(n)] for a, b in spans],
+                      dtype=float)
+    in_face = np.zeros((len(faces), len(spans)))
+    cover = np.empty((len(faces), n), dtype=int)
+    face_pairs = np.empty((len(faces), n - 1), dtype=np.intp)
+    lower, upper = [], []
+    for m, face in enumerate(faces):
+        in_face[m, face] = 1.0
+        for k in face:
+            cover[m, spans[k][0]:spans[k][1]] = k
+        first = len(lower)
+        face_pairs[m] = first
+        face_pairs[m, :len(face) - 1] = np.arange(first, first + len(face) - 1)
+        lower += face[:-1]
+        upper += face[1:]
+    tables = _PoolTables(member, in_face, cover,
+                         np.array(lower, dtype=np.intp),
+                         np.array(upper, dtype=np.intp), face_pairs)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _faces_clear(flagged: np.ndarray, face_pairs: np.ndarray) -> np.ndarray:
+    """Per face and query, whether no adjacent block pair of the face is
+    flagged: ``flagged`` is (pairs, queries), the result (faces, queries)."""
+    faces, width = face_pairs.shape
+    return ~np.logical_or.reduce(
+        flagged[face_pairs.ravel()].reshape(faces, width, -1), axis=1)
+
+
 def _pooled_responder(w: np.ndarray, sigma: list[int]):
     """Exact best monotone responses along the total order ``sigma``.
 
-    The faces of the monotone cone are the contiguous block partitions
-    along the order with at least two blocks: face ``mask`` (1 <= mask <
-    2^(n-1)) cuts after sorted position ``gap`` when bit ``gap`` is set.
-    Each face's stationary directions are its pooled block means,
-    positively or negatively scaled.  Every block is a span [a, b) of
-    sorted positions, so the pooling is built once for the order and the
-    weights ``w``: the 0/1 matrix ``member`` takes sorted values to their
-    weighted sums over every span, ``in_face`` adds span terms up per face,
-    ``lower``/``upper`` list the adjacent blocks of every face, and
-    ``step_face`` marks whose they are.
+    Each face of the monotone cone (see ``_PoolTables``) has its pooled
+    block means as stationary directions, positively or negatively scaled.
+    The pooling tables depend on the alphabet size alone and are held; per
+    call only the weights ``w`` are sorted and summed over every span.
 
     The returned ``respond(c)`` takes centered conditional means, one row
     per query, and returns each row's exact max of <g, c>_w over monotone,
@@ -105,51 +182,34 @@ def _pooled_responder(w: np.ndarray, sigma: list[int]):
     the last axis, so each step is one pass over long contiguous rows.
     """
     n = len(sigma)
+    t = _pool_tables(n)
     ws = w[sigma][:, None]
-    spans = [(a, b) for a in range(n) for b in range(a + 1, n + 1)]
-    faces = []
-    for mask in range(1, 2 ** (n - 1)):
-        cuts = [0] + [gap + 1 for gap in range(n - 1) if mask >> gap & 1]
-        faces.append([spans.index(ab) for ab in zip(cuts, cuts[1:] + [n])])
-    member = np.array([[a <= i < b for i in range(n)] for a, b in spans],
-                      dtype=float)
-    span_w = member @ ws
-    in_face = np.zeros((len(faces), len(spans)))
-    cover = np.empty((len(faces), n), dtype=int)  # block span of a position
-    for m, face in enumerate(faces):
-        in_face[m, face] = 1.0
-        for k in face:
-            cover[m, spans[k][0]:spans[k][1]] = k
-    pairs = [(m, lo, hi) for m, face in enumerate(faces)
-             for lo, hi in zip(face, face[1:])]
-    lower = [lo for _, lo, _ in pairs]
-    upper = [hi for _, _, hi in pairs]
-    step_face = np.array([[m == p[0] for p in pairs]
-                          for m in range(len(faces))], dtype=float)
-    chunk = max(1, _POOL_ENTRIES // (len(faces) * n))
+    span_w = t.member @ ws
+    faces = len(t.in_face)
+    chunk = max(1, _POOL_ENTRIES // (faces * n))
 
     def respond_sorted(c, with_g):                   # c: (n, queries)
-        sums = member @ (c * ws)
+        sums = t.member @ (c * ws)
         means = sums / span_w                        # (spans, queries)
-        norm2 = in_face @ (means * means * span_w)   # (faces, queries)
-        raw = in_face @ (means * sums)
-        steps = means[upper] - means[lower]          # (pairs, queries)
+        norm2 = t.in_face @ (means * means * span_w)  # (faces, queries)
+        raw = t.in_face @ (means * sums)
+        steps = means[t.upper] - means[t.lower]      # (pairs, queries)
         valid = norm2 > _CONST_TOL ** 2
         with np.errstate(invalid="ignore", divide="ignore"):
             scaled = raw / np.sqrt(norm2)
-        up = valid & (step_face @ (steps < -1e-12) == 0)
-        down = valid & (step_face @ (steps > 1e-12) == 0)
+        up = valid & _faces_clear(steps < -1e-12, t.face_pairs)
+        down = valid & _faces_clear(steps > 1e-12, t.face_pairs)
         plus = np.where(up, scaled, -np.inf)
         minus = np.where(down, -scaled, -np.inf)
         if not with_g:
             return np.maximum(plus.max(axis=0), minus.max(axis=0)), None
-        cand = np.stack([plus, minus], axis=1).reshape(2 * len(faces), -1)
+        cand = np.stack([plus, minus], axis=1).reshape(2 * faces, -1)
         pick = cand.argmax(axis=0)
         cols = np.arange(c.shape[1])
         face = pick // 2
         sign = 1.0 - 2.0 * (pick % 2)
         with np.errstate(invalid="ignore", divide="ignore"):
-            g = (sign * means[cover[face].T, cols]
+            g = (sign * means[t.cover[face].T, cols]
                  / np.sqrt(norm2[face, cols]))
         value = cand[pick, cols]
         g[:, value == -np.inf] = np.nan
@@ -179,16 +239,22 @@ def _centered_conditional(cov: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _grid_row_count(p: Poset, top: int) -> int:
-    """Exact count of the rows ``_level_rows(p, top)`` would build.
+    """Exact count of the rows ``_level_rows(p, top)`` would build."""
+    return _row_count(p.size, p.strict_pairs, top)
+
+
+@functools.lru_cache(maxsize=256)
+def _row_count(size: int, strict_pairs: frozenset, top: int) -> int:
+    """``_grid_row_count`` on the order's structure, held per structure.
 
     A monotone row using exactly k levels is a monotone map onto a k-chain
     together with a choice of its k levels among 0..top; holding the lowest
     at 0 leaves C(top, k - 1) choices.  The onto maps are counted by brute
     force over the n^n maps into an n-chain (n <= 5 here).
     """
-    n = p.size
+    n = size
     maps = np.indices((n,) * n).reshape(n, -1).T
-    for i, j in p.strict_pairs:
+    for i, j in strict_pairs:
         maps = maps[maps[:, i] <= maps[:, j]]
     levels = np.sort(maps, axis=1)
     used = 1 + (np.diff(levels, axis=1) > 0).sum(axis=1)
@@ -238,6 +304,16 @@ def _widest_canonical_rows(p: Poset, top: int) -> np.ndarray:
     return rows * (top // rows.max(axis=1))[:, None]
 
 
+@functools.lru_cache(maxsize=_HELD_GRIDS)
+def _held_rows(size: int, strict_pairs: frozenset, top: int) -> np.ndarray:
+    """``_widest_canonical_rows`` of an order's structure, read-only and
+    held for the ``_HELD_GRIDS`` structures and tops used last."""
+    p = Poset(size, tuple(map(str, range(size))), strict_pairs)
+    rows = _widest_canonical_rows(p, top)
+    rows.setflags(write=False)
+    return rows
+
+
 def _monotone_profiles(p: Poset, weights: np.ndarray, step: float):
     """Centered, normalized monotone grid profiles, in generation order.
 
@@ -248,6 +324,9 @@ def _monotone_profiles(p: Poset, weights: np.ndarray, step: float):
     any grid row and rounded to 12 decimals.  The rare rows the rounding
     makes equal are kept: a max over the rows does not see them, and
     ``_restart_rows`` deduplicates among the restart candidates only.
+
+    The canonical rows are held when the grid has at most ``_HELD_ROWS``
+    integer rows; ``GRID_ROW_LIMIT`` is checked first, held grid or not.
     """
     top = _grid_top(step)
     count = _grid_row_count(p, top)
@@ -257,8 +336,10 @@ def _monotone_profiles(p: Poset, weights: np.ndarray, step: float):
             f"{p.size}-element order; the oracle is limited to "
             f"{GRID_ROW_LIMIT:,}"
         )
+    rows = (_held_rows(p.size, p.strict_pairs, top) if count <= _HELD_ROWS
+            else _widest_canonical_rows(p, top))
     levels = np.minimum(np.arange(top + 1) * step, 1.0)
-    grid = levels[_widest_canonical_rows(p, top)]
+    grid = levels[rows]
     grid -= (grid @ weights)[:, None]
     variances = (grid * grid) @ weights
     ok = variances > _CONST_TOL
@@ -362,7 +443,11 @@ def _two_sided_grid(j: JointPmf, px: Poset, py: Poset,
 
 def grid_oracle(j: JointPmf, px: Poset, py: Poset,
                 cfg: OracleConfig = OracleConfig()) -> float:
-    """Feasible lower bound on the CMC by exhaustive monotone gridding.
+    """The best covariance of monotone pairs found by exhaustive gridding.
+
+    Every pair it scores is monotone, so the value is a lower bound on the
+    CMC up to rounding: the rounded grid profiles have variance 1 only to
+    about 1e-12, and the value can sit a few 1e-13 above the exact CMC.
 
     With a total order on either side the opposite side is swept on a grid
     and answered exactly; otherwise both sides are gridded.  Alphabets are

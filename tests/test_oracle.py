@@ -24,6 +24,21 @@ DSBS = [[0.4, 0.1], [0.1, 0.4]]
 DIAMOND = [(0, 1), (0, 2), (1, 3), (2, 3)]
 
 
+def clear_held():
+    """Drop every table the oracle holds, so the next call builds afresh."""
+    for held in (oracle._row_count, oracle._held_rows, oracle._pool_tables):
+        held.cache_clear()
+
+
+@pytest.fixture
+def cold():
+    """Run the test with the oracle's held tables emptied before and after
+    it, so nothing it swaps in or holds reaches another test."""
+    clear_held()
+    yield
+    clear_held()
+
+
 def total_orders(j):
     return total_order(j.x_labels), total_order(j.y_labels)
 
@@ -221,7 +236,7 @@ class TestMonotoneGrid:
 
     @pytest.mark.parametrize("shape,step", [((3, 3), 0.02), ((4, 4), 0.05)])
     def test_oracle_value_matches_reference_grid(self, shape, step,
-                                                 monkeypatch):
+                                                 monkeypatch, cold):
         rng = np.random.default_rng(38)
         cfg = OracleConfig(grid_step=step, refine_iters=50)
         instances = [random_pmf(rng, *shape) for _ in range(4)]
@@ -290,7 +305,7 @@ class TestRestartRows:
 
     @pytest.mark.parametrize("restart_count", (1, 3, 7))
     def test_oracle_equals_sorted_unique_grid(self, restart_count,
-                                              monkeypatch):
+                                              monkeypatch, cold):
         rng = np.random.default_rng(53 + restart_count)
         cfg = OracleConfig(grid_step=0.02, refine_iters=50,
                            restart_count=restart_count)
@@ -393,9 +408,49 @@ class TestPooledResponder:
             assert value[0] >= best_grid - 1e-9
 
 
+def reference_face_incidence(n):
+    """The former per-call face tables: the lower and upper spans of every
+    adjacent block pair, face by face in mask order, and the float
+    face-by-pair incidence the sweep multiplied with."""
+    spans = [(a, b) for a in range(n) for b in range(a + 1, n + 1)]
+    faces = []
+    for mask in range(1, 2 ** (n - 1)):
+        cuts = [0] + [gap + 1 for gap in range(n - 1) if mask >> gap & 1]
+        faces.append([spans.index(ab) for ab in zip(cuts, cuts[1:] + [n])])
+    pairs = [(m, lo, hi) for m, face in enumerate(faces)
+             for lo, hi in zip(face, face[1:])]
+    step_face = np.array([[m == p[0] for p in pairs]
+                          for m in range(len(faces))], dtype=float)
+    return [lo for _, lo, _ in pairs], [hi for _, _, hi in pairs], step_face
+
+
+class TestFaceChecks:
+    @pytest.mark.parametrize("n", (2, 3, 4, 5))
+    def test_match_float_incidence(self, n):
+        lower, upper, step_face = reference_face_incidence(n)
+        t = oracle._pool_tables(n)
+        assert t.lower.tolist() == lower and t.upper.tolist() == upper
+        rng = np.random.default_rng(60 + n)
+        # steps exactly at, just inside and just outside the +-1e-12 cut
+        edges = np.array([-1e-12, 1e-12, 0.0, -0.0, 0.3, -0.3, np.nan,
+                          np.nextafter(-1e-12, 0.0), np.nextafter(1e-12, 0.0),
+                          np.nextafter(-1e-12, -1.0), np.nextafter(1e-12, 1.0)])
+        placed = edges[rng.integers(len(edges), size=(len(lower), 500))]
+        # and the steps of random queries, as the sweep forms them
+        w = rng.dirichlet(np.ones(n))[:, None]
+        c = rng.normal(size=(n, 500))
+        c[:, :100] = np.round(c[:, :100])           # equal neighbours
+        sums = t.member @ (c * w)
+        means = sums / (t.member @ w)
+        for steps in (placed, means[t.upper] - means[t.lower]):
+            for flagged in (steps < -1e-12, steps > 1e-12):
+                assert (oracle._faces_clear(flagged, t.face_pairs)
+                        == (step_face @ flagged == 0)).all()
+
+
 class TestGridLimit:
     def test_five_chain_fine_step_refused_before_building(self,
-                                                          monkeypatch):
+                                                          monkeypatch, cold):
         def never(*args):
             raise AssertionError("grid built")
         monkeypatch.setattr(oracle, "_level_rows", never)
@@ -433,7 +488,8 @@ class TestGridLimit:
         assert main(["oracle", str(path), "--step", "0.001"]) == 1
         assert "monotone rows" in capsys.readouterr().err
 
-    def test_two_sided_pairs_refused_before_building(self, monkeypatch):
+    def test_two_sided_pairs_refused_before_building(self, monkeypatch,
+                                                     cold):
         # each diamond fits at step 0.02 (45,526 rows), their pairs do not
         def never(*args):
             raise AssertionError("grid built")
@@ -487,6 +543,184 @@ class TestGridLimit:
         path.write_text(json.dumps(doc))
         assert main(["oracle", str(path), "--step", "0.02"]) == 1
         assert "row pairs" in capsys.readouterr().err
+
+
+def never(*args):
+    raise AssertionError("grid built")
+
+
+class TestHeldTables:
+    @staticmethod
+    def held_cases(x_labels=None):
+        """(j, px, py): 3x3 and 4x4 chains, vee/wedge/chain+1 x a 4-chain
+        and a diamond x vee, with the X labels given, the same pmf bits
+        whatever they are."""
+        rng = np.random.default_rng(70)
+        vee = [(0, 1), (0, 2)]
+        cases = []
+        for x_pairs, y_pairs, shape in (
+                (None, None, (3, 3)), (None, None, (4, 4)),
+                (vee, None, (3, 4)), ([(0, 2), (1, 2)], None, (3, 4)),
+                ([(0, 1)], None, (3, 4)), (DIAMOND, vee, (4, 3))):
+            raw = rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
+            labels = None if x_labels is None else x_labels[:shape[0]]
+            j = joint_pmf(raw, labels)
+            px, py = total_orders(j)
+            if x_pairs is not None:
+                px = poset_from_pairs(j.x_labels, x_pairs)
+            if y_pairs is not None:
+                py = poset_from_pairs(j.y_labels, y_pairs)
+            cases.append((j, px, py))
+        return cases
+
+    def test_warm_equals_cold(self, monkeypatch, cold):
+        cfg = OracleConfig(grid_step=0.02, refine_iters=50, restart_count=3)
+        for (j, px, py), relabeled in zip(self.held_cases(),
+                                          self.held_cases("abcd")):
+            clear_held()
+            value = grid_oracle(j, px, py, cfg).hex()
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_level_rows", never)   # nothing rebuilt
+                assert grid_oracle(j, px, py, cfg).hex() == value
+                # new orders of the same structure find the held rows
+                assert grid_oracle(*relabeled, cfg).hex() == value
+
+    def test_held_arrays_read_only(self):
+        rows = oracle._held_rows(4, total_order("abcd").strict_pairs, 50)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
+        for n in range(2, 6):
+            for table in oracle._pool_tables(n):
+                assert not table.flags.writeable
+
+    def test_lowered_limit_refuses_held_order(self, monkeypatch, cold):
+        rng = np.random.default_rng(71)
+        j = random_pmf(rng, 4, 4)
+        cfg = OracleConfig(grid_step=0.02)
+        value = grid_oracle(j, *total_orders(j), cfg)
+        monkeypatch.setattr(oracle, "_level_rows", never)
+        assert grid_oracle(j, *total_orders(j), cfg) == value
+        count = oracle._grid_row_count(total_order(j.x_labels), 50)
+        monkeypatch.setattr(oracle, "GRID_ROW_LIMIT", count - 1)
+        with pytest.raises(SizeTooLarge, match="monotone rows"):
+            grid_oracle(j, *total_orders(j), cfg)
+
+    def test_grid_over_hold_bound_not_kept(self, monkeypatch, cold):
+        rng = np.random.default_rng(72)
+        cfg = OracleConfig(grid_step=0.05, refine_iters=10)
+        labels = [str(i) for i in range(5)]
+        orders = [total_order(labels[:n]) for n in (2, 3, 4, 5)] + [
+            poset_from_pairs(labels[:3], pairs)
+            for pairs in ([(0, 1), (0, 2)], [(0, 2), (1, 2)], [(0, 1)])]
+        cases = [(joint_pmf(rng.dirichlet(np.ones(3 * p.size)
+                                          ).reshape(p.size, 3)), p)
+                 for p in orders]
+        unbounded = [grid_oracle(j, p, total_order(j.y_labels), cfg).hex()
+                     for j, p in cases]
+        clear_held()
+        bound = 300                     # the 5-chain (10,626 rows) is over
+        monkeypatch.setattr(oracle, "_HELD_ROWS", bound)
+        keys = []
+        for (j, p), value in zip(cases, unbounded):
+            key = (p.size, p.strict_pairs, 20)
+            over = oracle._grid_row_count(p, 20) > bound
+            misses = oracle._held_rows.cache_info().misses
+            assert grid_oracle(j, p, total_order(j.y_labels),
+                               cfg).hex() == value
+            assert (oracle._held_rows.cache_info().misses == misses) == over
+            keys.append((key, over))
+        monkeypatch.setattr(oracle, "_level_rows", never)
+        held = []
+        for key, over in keys:
+            try:
+                rows = oracle._held_rows(*key)
+            except AssertionError:
+                continue
+            assert not over
+            held.append(len(rows))
+        assert any(over for _, over in keys)
+        assert 0 < len(held) <= oracle._HELD_GRIDS
+        assert max(held) <= bound
+
+
+def test_never_above_engine_beyond_rounding():
+    # the sweep's profiles are rounded to 12 decimals, so the oracle may
+    # sit a few 1e-13 above the exact value, but no further
+    rng = np.random.default_rng(80)
+    cases = []
+    for shape in ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4)):
+        for flip in (False, True):
+            j = random_pmf(rng, *shape)
+            px, py = total_orders(j)
+            cases.append((j, px, reverse(py) if flip else py))
+    for pairs in ([(0, 1), (0, 2)], [(0, 2), (1, 2)], [(0, 1)], []):
+        j = random_pmf(rng, 3, 4)
+        cases.append((j, poset_from_pairs(j.x_labels, pairs),
+                      total_order(j.y_labels)))
+    j = random_pmf(rng, 4, 3)
+    cases.append((j, poset_from_pairs(j.x_labels, DIAMOND),
+                  total_order(j.y_labels)))
+    j = random_pmf(rng, 3, 3)
+    cases.append((j, poset_from_pairs(j.x_labels, [(0, 1)]),
+                  poset_from_pairs(j.y_labels, [(1, 2)])))
+    for step in (0.5, 0.1, 0.05):
+        cfg = OracleConfig(grid_step=step, refine_iters=25)
+        for j, px, py in cases:
+            assert grid_oracle(j, px, py, cfg) <= \
+                cmc_exact(j, px, py).value + 1e-11
+
+
+def mutual_best_responses(j, f, iters=100):
+    """Alternate exact best responses from ``f`` until each side answers
+    the other; None when no such pair is reached in ``iters`` rounds."""
+    wx, wy = j.p.sum(axis=1), j.p.sum(axis=0)
+    respond_x = oracle._pooled_responder(wx, list(range(len(wx))))
+    respond_y = oracle._pooled_responder(wy, list(range(len(wy))))
+    for _ in range(iters):
+        _, g = respond_y(oracle._centered_conditional(f @ j.p, wy))
+        _, f_new = respond_x(oracle._centered_conditional(j.p @ g[0], wx))
+        if np.abs(f_new[0] - f).max() <= 1e-12:
+            return f, g[0]
+        f = f_new[0]
+    return None
+
+
+def test_alternating_responses_stop_below_the_cmc():
+    # the CMC is non-convex: a monotone pair where each function is the
+    # other's exact best response can lie well below the optimum, which
+    # only the exhaustive face enumeration reaches
+    found = []
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        m, n = (int(k) for k in rng.integers(3, 6, size=2))
+        j = random_pmf(rng, m, n)
+        wx, wy = j.p.sum(axis=1), j.p.sum(axis=0)
+        f = np.sort(rng.normal(size=m))
+        f -= wx @ f
+        f /= np.sqrt(wx @ f ** 2)
+        pair = mutual_best_responses(j, f)
+        if pair is None:
+            continue
+        f, g = pair
+        cov = float(f @ j.p @ g)
+        if cov < cmc_exact(j, *total_orders(j)).value - 1e-6:
+            found.append(seed)
+            px, py = total_orders(j)
+            for h, w, p in ((f, wx, px), (g, wy, py)):
+                assert is_monotone(h, p, 1e-12)
+                assert abs(w @ h) <= 1e-12
+                assert abs(w @ h ** 2 - 1.0) <= 1e-12
+            # each is the other's best response, to within 1e-12
+            vg, g_best = oracle._pooled_responder(wy, list(range(n)))(
+                oracle._centered_conditional(f @ j.p, wy))
+            vf, f_best = oracle._pooled_responder(wx, list(range(m)))(
+                oracle._centered_conditional(j.p @ g, wx))
+            assert np.abs(g_best[0] - g).max() <= 1e-12
+            assert np.abs(f_best[0] - f).max() <= 1e-12
+            assert vg[0] == pytest.approx(cov, abs=1e-12)
+            assert vf[0] == pytest.approx(cov, abs=1e-12)
+    assert found
 
 
 def test_diamond_against_engine():
