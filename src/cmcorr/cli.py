@@ -214,6 +214,7 @@ def cmd_oracle(args) -> int:
         "input": args.input,
         "grid_step": args.step,
         "refine_iters": args.refine_iters,
+        "restarts": args.restarts,
         "oracle": oracle_value,
         "engine": engine_value,
         "gap": engine_value - oracle_value,

@@ -309,6 +309,27 @@ class TestOracle:
         assert doc["oracle"] == pytest.approx(-1.0, abs=1e-9)
         assert doc["gap"] == pytest.approx(0.0, abs=1e-9)
 
+    def test_report_records_restarts(self, tmp_path):
+        doc = {
+            "x": {"labels": ["0", "1", "2"]},
+            "y": {"labels": ["0", "1", "2"]},
+            "pmf": [[0.2, 0.05, 0.05], [0.05, 0.1, 0.15], [0.0, 0.1, 0.3]],
+        }
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps(doc))
+        outs = []
+        for name, restarts in (("a", "5"), ("b", "5"), ("c", "1")):
+            out = tmp_path / f"{name}.json"
+            assert main(["oracle", str(path), "--restarts", restarts,
+                         "--refine-iters", "50", "--out", str(out)]) == 0
+            outs.append(out)
+        report = json.loads(outs[0].read_text())
+        assert report["restarts"] == 5
+        assert report["refine_iters"] == 50
+        assert report["gap"] >= -1e-9
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert json.loads(outs[2].read_text())["restarts"] == 1
+
     def test_six_by_six_exits_one(self, tmp_path):
         doc = {
             "x": {"labels": [str(i) for i in range(6)]},

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -373,7 +374,7 @@ class TestPooledResponder:
         # at -sqrt(3) with different g, and the first mask must win
         w = np.array([0.25, 0.5, 0.25])
         c = np.array([3.0, 0.0, -3.0])
-        value, g = oracle._pooled_responder(w, [0, 1, 2])(c)
+        value, g = oracle._pooled_responder(w, [0, 1, 2])(c[None])
         ref_g, ref_value = reference_signed_best_response(c, w, [0, 1, 2])
         assert value[0] == ref_value
         assert value[0] == pytest.approx(-math.sqrt(3.0), abs=1e-15)
@@ -394,7 +395,8 @@ class TestPooledResponder:
             fc = f - px_w @ f
             fc = fc / np.sqrt(px_w @ fc**2)
             respond = oracle._pooled_responder(py_w, py.linear_extension())
-            value, _ = respond(oracle._centered_conditional(fc @ j.p, py_w))
+            value, _ = respond(
+                oracle._centered_conditional(fc @ j.p, py_w)[None])
             best_grid = -np.inf
             for combo in np.ndindex(5, 5, 5):
                 g = np.asarray(combo, dtype=float)
@@ -644,6 +646,173 @@ class TestHeldTables:
         assert max(held) <= bound
 
 
+def reference_refine(j, px, py, cfg, exits):
+    """The oracle on two chains with each restart refined alone, one
+    query per response, as the loop was before the restarts were batched.
+
+    The conditionals are one-row products, the products the batched loop
+    makes on a single restart, so near the 1e-12 cut rounding cannot give
+    a response here to a query that goes unanswered there.  ``exits``
+    counts the restarts stopped because no Y response exists (``"vg"``),
+    because no X response exists (``"vf"``), and of the latter those whose
+    Y response had still risen by more than 1e-15 (``"vf rising"``).
+    """
+    px_w, py_w = j.p.sum(axis=1), j.p.sum(axis=0)
+    profiles = oracle._monotone_profiles(px, px_w, cfg.grid_step)
+    respond_y = oracle._pooled_responder(py_w, py.linear_extension())
+    best_vals, _ = respond_y(
+        oracle._centered_conditional(profiles @ j.p, py_w), with_g=False)
+    best_vals[best_vals == -np.inf] = 0.0
+    top = oracle._restart_rows(profiles, best_vals, cfg.restart_count)
+    overall = float(best_vals[top[0]])
+    if cfg.refine_iters == 0:
+        return overall
+    respond_x = oracle._pooled_responder(px_w, px.linear_extension())
+    for k in top:
+        f = profiles[k].copy()
+        value = float(best_vals[k])
+        for _ in range(cfg.refine_iters):
+            vg, g = respond_y(
+                oracle._centered_conditional(f[None] @ j.p, py_w))
+            vg = float(vg[0])
+            if vg == -np.inf:
+                exits["vg"] += 1
+                break
+            vf, f_new = respond_x(
+                oracle._centered_conditional(g @ j.p.T, px_w))
+            vf = float(vf[0])
+            if vf == -np.inf:
+                exits["vf"] += 1
+                exits["vf rising"] += vg > value + 1e-15
+                value = max(value, vg)
+                break
+            f = f_new[0]
+            improved = max(vg, vf)
+            if improved <= value + 1e-15:
+                value = max(value, improved)
+                break
+            value = improved
+        overall = max(overall, value)
+    return overall
+
+
+def counting_responder(monkeypatch):
+    """Make every pooled responder log the number of queries of each call
+    and refuse a query that is not finite; returns the log."""
+    calls = []
+    responder = oracle._pooled_responder
+
+    def counted(w, sigma):
+        respond = responder(w, sigma)
+
+        def logged(c, with_g=True):
+            assert np.isfinite(c).all()
+            calls.append(len(c))
+            return respond(c, with_g)
+        return logged
+
+    monkeypatch.setattr(oracle, "_pooled_responder", counted)
+    return calls
+
+
+class TestBatchedRefinement:
+    CONFIGS = [OracleConfig(refine_iters=iters, restart_count=count)
+               for iters in (0, 1, 50) for count in (1, 3, 7)]
+
+    @staticmethod
+    def near_cut_pairs(rng, count):
+        """2x2 pmfs whose correlation lies within 3e-5 (relative) of the
+        1e-12 cut below which a response is degenerate: there rounding
+        alone decides whether a side has a response, and the Y side can
+        answer while the X side cannot."""
+        for _ in range(count):
+            a, b = rng.uniform(0.2, 0.8, size=2)
+            scale = 1e-12 * math.sqrt(a * (1 - a) * b * (1 - b))
+            for t in np.linspace(0.99997, 1.00003, 7):
+                d = t * scale
+                yield joint_pmf([[(1 - a) * (1 - b) + d, (1 - a) * b - d],
+                                 [a * (1 - b) - d, a * b + d]])
+
+    def test_matches_one_restart_at_a_time(self, monkeypatch):
+        counting_responder(monkeypatch)
+        rng = np.random.default_rng(90)
+        cases = []
+        for m, n in itertools.product(range(2, 6), repeat=2):
+            j = random_pmf(rng, m, n)
+            px, py = total_orders(j)
+            cases += [(j, px, py), (j, px, reverse(py))]
+        # independent: every response is -inf, so each restart stops at
+        # its first Y response
+        j = joint_pmf(np.outer(rng.dirichlet(np.ones(3)),
+                               rng.dirichlet(np.ones(4))))
+        cases.append((j, *total_orders(j)))
+        runs = [(case, cfg) for case in cases for cfg in self.CONFIGS]
+        runs += [((j, *total_orders(j)), cfg)
+                 for j in self.near_cut_pairs(rng, 40)
+                 for cfg in self.CONFIGS if cfg.refine_iters == 50]
+        exits = collections.Counter()
+        for (j, px, py), cfg in runs:
+            value = grid_oracle(j, px, py, cfg)
+            reference = reference_refine(j, px, py, cfg, exits)
+            if cfg.refine_iters == 0:
+                assert value.hex() == reference.hex()
+            else:
+                assert abs(value - reference) <= 1e-15
+        assert exits["vg"] > 0
+        assert exits["vf"] > 0
+
+    def test_row_without_x_response_leaves_the_batch(self, monkeypatch):
+        # the X side stops answering after its first call, so restarts
+        # still rising stop at the vf exit: they keep max(value, vg) and
+        # pass no NaN row on (counting_responder refuses one)
+        counting_responder(monkeypatch)
+        responder = oracle._pooled_responder
+        built = []
+
+        def x_answers_once(w, sigma):
+            respond = responder(w, sigma)
+            built.append(sigma)
+            if len(built) % 2:                  # Y side: unchanged
+                return respond
+            answered = []
+
+            def refuse_after_first(c, with_g=True):
+                if answered:
+                    return (np.full(len(c), -np.inf),
+                            np.full(c.shape, np.nan))
+                answered.append(True)
+                return respond(c, with_g)
+            return refuse_after_first
+
+        monkeypatch.setattr(oracle, "_pooled_responder", x_answers_once)
+        rng = np.random.default_rng(92)
+        cfg = OracleConfig(grid_step=0.25, refine_iters=5, restart_count=1)
+        exits = collections.Counter()
+        for m, n in itertools.product(range(3, 6), repeat=2):
+            j = random_pmf(rng, m, n)
+            px, py = total_orders(j)
+            value = grid_oracle(j, px, py, cfg)
+            assert abs(value - reference_refine(j, px, py, cfg, exits)) \
+                <= 1e-15
+        assert exits["vf rising"] > 0
+
+    @pytest.mark.parametrize("restart_count", [1, 7])
+    def test_calls_do_not_grow_with_restarts(self, monkeypatch,
+                                             restart_count):
+        calls = counting_responder(monkeypatch)
+        rng = np.random.default_rng(91)
+        for refine_iters in (1, 2, 5, 50):
+            cfg = OracleConfig(refine_iters=refine_iters,
+                               restart_count=restart_count)
+            for _ in range(5):
+                j = random_pmf(rng, 3, 3)
+                calls.clear()
+                grid_oracle(j, *total_orders(j), cfg)
+                assert len(calls) <= 2 * refine_iters + 1
+                # the restarts are refined side by side, all in one query
+                assert calls[1] == restart_count
+
+
 def test_never_above_engine_beyond_rounding():
     # the sweep's profiles are rounded to 12 decimals, so the oracle may
     # sit a few 1e-13 above the exact value, but no further
@@ -678,8 +847,9 @@ def mutual_best_responses(j, f, iters=100):
     respond_x = oracle._pooled_responder(wx, list(range(len(wx))))
     respond_y = oracle._pooled_responder(wy, list(range(len(wy))))
     for _ in range(iters):
-        _, g = respond_y(oracle._centered_conditional(f @ j.p, wy))
-        _, f_new = respond_x(oracle._centered_conditional(j.p @ g[0], wx))
+        _, g = respond_y(oracle._centered_conditional(f @ j.p, wy)[None])
+        _, f_new = respond_x(
+            oracle._centered_conditional(j.p @ g[0], wx)[None])
         if np.abs(f_new[0] - f).max() <= 1e-12:
             return f, g[0]
         f = f_new[0]
@@ -713,9 +883,9 @@ def test_alternating_responses_stop_below_the_cmc():
                 assert abs(w @ h ** 2 - 1.0) <= 1e-12
             # each is the other's best response, to within 1e-12
             vg, g_best = oracle._pooled_responder(wy, list(range(n)))(
-                oracle._centered_conditional(f @ j.p, wy))
+                oracle._centered_conditional(f @ j.p, wy)[None])
             vf, f_best = oracle._pooled_responder(wx, list(range(m)))(
-                oracle._centered_conditional(j.p @ g, wx))
+                oracle._centered_conditional(j.p @ g, wx)[None])
             assert np.abs(g_best[0] - g).max() <= 1e-12
             assert np.abs(f_best[0] - f).max() <= 1e-12
             assert vg[0] == pytest.approx(cov, abs=1e-12)
