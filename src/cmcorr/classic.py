@@ -1,11 +1,12 @@
 """Classical correlation measures: Pearson, Spearman, Kendall tau-b, and
-the generic two-sample rank-correlation functional they instantiate.
+Daniels' (1944) generalized correlation coefficient, the two-sample
+rank-correlation functional of monotone pair comparators.
 
 All expectations are exact finite sums over the joint pmf; the two-sample
-measures sum over independent outcome pairs drawn from it.  Spearman uses
-mid-distribution grades, the tie-consistent discrete analogue of the CDF
-transform, and Kendall is the tau-b normalization (the Pearson coefficient
-of comparison signs).
+functional sums over independent outcome pairs drawn from it.  Spearman
+uses mid-distribution grades, the tie-consistent discrete analogue of the
+CDF transform.  Kendall tau-b is the functional's sign case, computed by
+its one body.
 """
 
 from __future__ import annotations
@@ -86,21 +87,11 @@ def spearman(j: JointPmf) -> float:
 
 
 def kendall_tau_b(j: JointPmf) -> float:
-    """Tau-b: E[s1 s2] / sqrt(E[s1^2] E[s2^2]) over i.i.d. outcome pairs.
-
-    s1 = sign(X1 - X2) and s2 = sign(Y1 - Y2); exchange symmetry makes both
-    signs zero-mean, so this is their Pearson coefficient.
-    """
-    sx = np.sign(np.subtract.outer(_keys(j, "x"), _keys(j, "x")))
-    sy = np.sign(np.subtract.outer(_keys(j, "y"), _keys(j, "y")))
-    px = marginal_x(j)
-    py = marginal_y(j)
-    es1sq = float(np.einsum("a,c,ac->", px, px, sx * sx))
-    es2sq = float(np.einsum("b,d,bd->", py, py, sy * sy))
-    if es1sq <= 0.0 or es2sq <= 0.0:
-        raise ZeroVariance("one side is almost surely tied")
-    es1s2 = float(np.einsum("ab,cd,ac,bd->", j.p, j.p, sx, sy))
-    return es1s2 / math.sqrt(es1sq * es2sq)
+    """Tau-b, the sign case of :func:`pair_rank_correlation`: the Pearson
+    coefficient of sign(X1 - X2) and sign(Y1 - Y2).  Signs of the keys are
+    monotone in them by construction, so they skip the comparator check."""
+    return _pair_correlation(j, sign_comparator(_keys(j, "x")).values,
+                             sign_comparator(_keys(j, "y")).values)
 
 
 @dataclass(frozen=True)
@@ -158,14 +149,22 @@ def pair_rank_correlation(j: JointPmf, fx: PairComparator,
     """Pearson coefficient of (f(X1, X2), g(Y1, Y2)) for i.i.d. outcome pairs."""
     _check_comparator(fx, _keys(j, "x"), "x")
     _check_comparator(gy, _keys(j, "y"), "y")
-    px = marginal_x(j)
-    py = marginal_y(j)
-    fv, gv = fx.values, gy.values
-    mean_f = float(np.einsum("a,c,ac->", px, px, fv))
-    mean_g = float(np.einsum("b,d,bd->", py, py, gv))
-    var_f = float(np.einsum("a,c,ac->", px, px, fv * fv)) - mean_f ** 2
-    var_g = float(np.einsum("b,d,bd->", py, py, gv * gv)) - mean_g ** 2
-    if var_f <= 0.0 or var_g <= 0.0:
-        raise ZeroVariance("a comparator is almost surely constant")
+    return _pair_correlation(j, fx.values, gy.values)
+
+
+def _pair_correlation(j: JointPmf, fv: np.ndarray, gv: np.ndarray) -> float:
+    """:func:`pair_rank_correlation` on comparator matrices, unchecked.  X1
+    and X2 are exchangeable, so each mean is taken over the symmetric part
+    (v + v.T) / 2, exactly 0.0 for an antisymmetric comparator such as a
+    sign matrix: tau-b's E[f g] / sqrt(E[f^2] E[g^2]) keeps its bits."""
+    moments = []
+    for side, w, v in (("x", marginal_x(j), fv), ("y", marginal_y(j), gv)):
+        mean = float(np.einsum("a,c,ac->", w, w, (v + v.T) / 2.0))
+        var = float(np.einsum("a,c,ac->", w, w, v * v)) - mean ** 2
+        if var <= 0.0:
+            raise ZeroVariance(f"the {side} side is almost surely tied "
+                               "or its comparator almost surely constant")
+        moments.append((mean, var))
+    (mean_f, var_f), (mean_g, var_g) = moments
     cross = float(np.einsum("ab,cd,ac,bd->", j.p, j.p, fv, gv))
     return (cross - mean_f * mean_g) / math.sqrt(var_f * var_g)

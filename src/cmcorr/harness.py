@@ -82,7 +82,7 @@ def _total_orders(j: JointPmf) -> tuple[Poset, Poset]:
 
 def _run_suite(suite: str, seed: int | None, tolerance: float,
                violations) -> VerifyReport:
-    """Fold per-trial (violation, instance) pairs into a report."""
+    """Fold per-trial (violation, instance, extra) triples into a report."""
     worst = -math.inf
     worst_instance = None
     count = 0
@@ -281,19 +281,13 @@ def verify_example3() -> VerifyReport:
     bound P(f != g) >= (1 - cmc) / 2, which they attain within 1e-9 at
     n = 1 and 2.  At n = 3 the cube pair has more than ``FACE_LIMIT``
     faces, so only positivity is checked there."""
-    values = [example3_min_disagreement(n) for n in (1, 2, 3)]
-    cmc = [_complemented_cube_cmc(n) for n in (1, 2)]
-    violation = max(abs(values[0] - 1.0), abs(values[1] - 0.5),
-                    0.0 if values[2] > 0.0 else 1.0,
-                    *(0.0 if abs(v - (1.0 - c) / 2) <= 1e-9 else 1.0
-                      for v, c in zip(values, cmc)))
-    return VerifyReport(
-        suite="example3",
-        trials=3,
-        tolerance=0.0,
-        max_violation=violation,
-        passed=violation <= 0.0,
-        seed=None,
-        worst_instance=None,
-        details={"values": values, "cmc": cmc},
-    )
+    def gen():
+        for n, expected in ((1, 1.0), (2, 0.5)):
+            value = example3_min_disagreement(n)
+            cmc = _complemented_cube_cmc(n)
+            bound = 0.0 if abs(value - (1.0 - cmc) / 2) <= 1e-9 else 1.0
+            yield (max(abs(value - expected), bound), None,
+                   {"values": value, "cmc": cmc})
+        value = example3_min_disagreement(3)
+        yield 0.0 if value > 0.0 else 1.0, None, {"values": value}
+    return _run_suite("example3", None, 0.0, gen())

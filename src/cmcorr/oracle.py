@@ -181,9 +181,11 @@ def _pooled_responder(w: np.ndarray, sigma: list[int]):
     per query, and returns each row's exact max of <g, c>_w over monotone,
     zero-mean, unit-variance g together with the g attaining it (or None
     when ``with_g`` is false).  Ties go to the first maximum in mask order,
-    + before -.  A row with no non-degenerate candidate gets value -inf and
-    a NaN g: every response is then orthogonal to it.  Queries run along
-    the last axis, so each step is one pass over long contiguous rows.
+    + before -.  A step between pooled means counts against monotonicity
+    past 1e-12 of its row's max |c|, so ``respond(k * c)`` picks the face
+    ``respond(c)`` does.  A row with no non-degenerate candidate gets value
+    -inf and a NaN g: every response is then orthogonal to it.  Queries run
+    along the last axis, so each step is one pass over long contiguous rows.
     """
     n = len(sigma)
     t = _pool_tables(n)
@@ -201,8 +203,9 @@ def _pooled_responder(w: np.ndarray, sigma: list[int]):
         valid = norm2 > _CONST_TOL ** 2
         with np.errstate(invalid="ignore", divide="ignore"):
             scaled = raw / np.sqrt(norm2)
-        up = valid & _faces_clear(steps < -1e-12, t.face_pairs)
-        down = valid & _faces_clear(steps > 1e-12, t.face_pairs)
+        cut = 1e-12 * np.abs(c).max(axis=0)          # every mean is <= max|c|
+        up = valid & _faces_clear(steps < -cut, t.face_pairs)
+        down = valid & _faces_clear(steps > cut, t.face_pairs)
         plus = np.where(up, scaled, -np.inf)
         minus = np.where(down, -scaled, -np.inf)
         if not with_g:

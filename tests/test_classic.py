@@ -54,6 +54,44 @@ def brute_kendall(j):
     return num / np.sqrt(es1 * es2)
 
 
+def reference_tau_b(j):
+    """The former standalone tau-b: its own sign matrices and zero-mean
+    moments, with no comparator means."""
+    def keys(vals, k):
+        return np.arange(k, dtype=float) if vals is None \
+            else np.asarray(vals, dtype=float)
+    kx, ky = keys(j.x_values, j.shape[0]), keys(j.y_values, j.shape[1])
+    sx = np.sign(np.subtract.outer(kx, kx))
+    sy = np.sign(np.subtract.outer(ky, ky))
+    px, py = j.p.sum(axis=1), j.p.sum(axis=0)
+    es1sq = float(np.einsum("a,c,ac->", px, px, sx * sx))
+    es2sq = float(np.einsum("b,d,bd->", py, py, sy * sy))
+    if es1sq <= 0.0 or es2sq <= 0.0:
+        return None
+    es1s2 = float(np.einsum("ab,cd,ac,bd->", j.p, j.p, sx, sy))
+    return es1s2 / np.sqrt(es1sq * es2sq)
+
+
+def seeded_keyed_pmfs(seed, count, keys, independent):
+    """Seeded 2..5 x 2..5 pmfs whose embeddings are distinct integers, tied
+    integers or real numbers; ``independent`` draws product pmfs."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = (int(v) for v in rng.integers(2, 6, size=2))
+        if keys == "distinct":
+            xv, yv = range(m), range(n)
+        elif keys == "tied":
+            xv, yv = rng.integers(0, 3, size=m), rng.integers(0, 3, size=n)
+        else:
+            xv, yv = rng.normal(size=m), rng.normal(size=n)
+        if independent:
+            p = np.outer(rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n)))
+        else:
+            p = rng.dirichlet(np.ones(m * n)).reshape(m, n)
+        yield joint_pmf(p, x_values=tuple(float(v) for v in xv),
+                        y_values=tuple(float(v) for v in yv))
+
+
 class TestPearson:
     def test_hand_value(self):
         # Cov = 0.15, Var = 0.25 on each side
@@ -163,10 +201,29 @@ class TestKendall:
         # tau-b and Spearman agree here: both sides are effectively binary
         assert kendall_tau_b(j) == pytest.approx(spearman(j), abs=1e-12)
 
+    @pytest.mark.parametrize("keys", ["distinct", "tied", "real"])
+    @pytest.mark.parametrize("independent", [False, True])
+    def test_bits_of_the_standalone_formula(self, keys, independent):
+        # the sign case of the functional keeps the former formula's bits
+        checked = 0
+        for j in seeded_keyed_pmfs(21, 400, keys, independent):
+            want = reference_tau_b(j)
+            if want is None:
+                with pytest.raises(ZeroVariance):
+                    kendall_tau_b(j)
+                continue
+            assert kendall_tau_b(j).hex() == want.hex()
+            checked += 1
+        assert checked >= 250
+
     def test_all_tied_raises(self):
-        j = joint_pmf(DSBS, x_values=(1, 1), y_values=(0, 1))
-        with pytest.raises(ZeroVariance):
-            kendall_tau_b(j)
+        # the message names the tied side
+        for x_values, y_values, side in (((1, 1), (0, 1), "x"),
+                                         ((0, 1), (1, 1), "y")):
+            j = joint_pmf(DSBS, x_values=x_values, y_values=y_values)
+            with pytest.raises(ZeroVariance) as info:
+                kendall_tau_b(j)
+            assert str(info.value).startswith(f"the {side} side ")
 
 
 class TestPairRankCorrelation:
@@ -177,13 +234,26 @@ class TestPairRankCorrelation:
         assert got == pytest.approx(kendall_tau_b(j), abs=1e-12)
 
     def test_sign_comparator_matches_kendall_random(self):
+        # the sign means are exactly zero, so Kendall is the functional bit
+        # for bit; rounded means once moved it on independent products
         rng = np.random.default_rng(10)
+        cases = []
         for _ in range(100):
             m, n = rng.integers(2, 5, size=2)
-            j = random_pmf(rng, int(m), int(n))
+            cases.append(random_pmf(rng, int(m), int(n)))
+        for keys in ("distinct", "tied", "real"):
+            cases += seeded_keyed_pmfs(22, 400, keys, independent=True)
+        checked = 0
+        for j in cases:
+            try:
+                want = kendall_tau_b(j)
+            except ZeroVariance:
+                continue
             got = pair_rank_correlation(j, sign_comparator(j.x_values),
                                         sign_comparator(j.y_values))
-            assert got == pytest.approx(kendall_tau_b(j), abs=1e-12)
+            assert got.hex() == want.hex()
+            checked += 1
+        assert checked >= 900
 
     def test_grade_difference_is_spearman(self):
         rng = np.random.default_rng(11)
@@ -202,6 +272,16 @@ class TestPairRankCorrelation:
         got = pair_rank_correlation(j, sign_comparator(j.x_values),
                                     sign_comparator(j.y_values))
         assert got == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_constant_comparator_names_the_side(self, side):
+        j = dsbs()
+        flat = difference_comparator([2.0, 2.0])
+        live = sign_comparator((0, 1))
+        fx, gy = (flat, live) if side == "x" else (live, flat)
+        with pytest.raises(ZeroVariance) as info:
+            pair_rank_correlation(j, fx, gy)
+        assert str(info.value).startswith(f"the {side} side ")
 
     def test_bad_comparator_rejected(self):
         j = dsbs()

@@ -98,6 +98,18 @@ class TestSuites:
         report = verify_example3()
         assert report.summary().startswith("[pass]")
 
+    def test_example3_report(self):
+        # one trial per n through the shared suite loop; the CMC is
+        # recorded at n = 1 and 2 only
+        report = verify_example3()
+        assert (report.suite, report.trials, report.tolerance,
+                report.max_violation, report.passed, report.seed,
+                report.worst_instance) == ("example3", 3, 0.0, 0.0, True,
+                                           None, None)
+        assert report.details["values"] == [
+            1.0, 0.5, example3_min_disagreement(3)]
+        assert report.details["cmc"] == pytest.approx([-1.0, 0.0], abs=1e-9)
+
 
 class TestFkg:
     def test_single_bit_is_perfectly_discordant(self):

@@ -158,7 +158,7 @@ def reference_signed_best_response(c, w, sigma):
             continue
         for sign in (1.0, -1.0):
             vec = sign * pooled
-            if (np.diff(vec) < -1e-12).any():
+            if (np.diff(vec) < -1e-12 * np.abs(c).max()).any():
                 continue
             val = float(ww @ (vec * cw)) / math.sqrt(norm2)
             if best_val is None or val > best_val:
@@ -381,6 +381,22 @@ class TestPooledResponder:
         assert g[0] == pytest.approx(
             np.array([-3.0, 1.0, 1.0]) / math.sqrt(3.0), abs=1e-15)
         assert g[0] == pytest.approx(ref_g, abs=1e-15)
+
+    def test_step_cut_scales_with_the_query(self):
+        # conditional means near 1e-11: against a fixed 1e-12 cut the face
+        # {0}{1}{2}{3} passed with a -0.127 step in g; scaled by max|c|, the
+        # cut picks the monotone face that 1e12 * c picks
+        w = np.full(4, 0.25)
+        c = np.array([0.0, 10.0, 9.1, 20.0]) * 1e-12
+        c -= c @ w
+        respond = oracle._pooled_responder(w, [0, 1, 2, 3])
+        value, g = respond(c[None])
+        big_value, big_g = respond(1e12 * c[None])
+        assert (np.diff(g[0]) >= 0.0).all()
+        assert g[0] == pytest.approx(big_g[0], abs=1e-12)
+        assert value[0] == pytest.approx(1e-12 * big_value[0], rel=1e-12)
+        ref_g, _ = reference_signed_best_response(c, w, [0, 1, 2, 3])
+        assert g[0] == pytest.approx(ref_g, abs=1e-12)
 
     def test_dominates_exhaustive_g_grid(self):
         # the exact response to a standardized f must beat the covariance
