@@ -68,17 +68,32 @@ _CONST_TOL = 1e-12
 # 4-antichain grid peaks at about 46 MB traced, and the oracle on a
 # 4-antichain x 4-chain at about 69 MB.
 GRID_ROW_LIMIT = 600_000
-# Row pairs (rows of X times rows of Y) the two-sided grid may search.  At
-# the 2.4e8 to 4e8 covariances a second measured on a 2-vCPU Xeon, this
-# caps a call at about a second: a diamond x vee at step 0.02 (118 million
-# pairs) runs, a diamond x diamond there (2.1 billion) does not.
+# Integer row pairs (rows of X times rows of Y) the two-sided grid may
+# search.  A diamond x vee at step 0.02 has 118 million, of which the grid
+# keeps one per profile class: 57.6 million covariances, computed in 75 ms
+# on a 2-vCPU Xeon (about 7.7e8 a second).  So a call under the limit stays
+# well under a second, while a diamond x diamond there (2.1 billion pairs)
+# is refused.
 GRID_PAIR_LIMIT = 200_000_000
 # Queries per stack in the pooled best responses: this over faces x symbols,
-# so each array of a stack holds about this many numbers.
-_POOL_ENTRIES = 1 << 20
+# so each array of a stack holds about this many numbers (256 KB), and a
+# batch is cut into near-equal stacks.  The size was measured on a 2-vCPU
+# Xeon with 2 MB of L2 per core.  Over 2^14 to 2^20, a 4x4 chain op of the
+# oracle benchmark (a sweep of 18,970 queries) ran fastest at 2^15 and
+# 2^16: about 5 ms, against 8-12 ms at 2^20, where the sweep ran as one
+# stack of 1.5 MB arrays.  In the benchmark's loop, a 3-element poset x
+# 4-chain op (2,323 queries: one stack at 2^16, two at 2^15) took 0.72 ms
+# at 2^16 against 0.56-0.62 ms at 2^15 and 2^20; the vee and wedge ops
+# (1,549 queries, two stacks at 2^15) pay about 0.03 ms for their second
+# stack.  No stack holds one query unless the batch does: a one-query stack
+# takes matrix-vector products, which round differently.
+_POOL_ENTRIES = 1 << 15
 # Covariances per chunk of the two-sided grid, so the chunk's array holds
 # 8 MB: a diamond x vee at step 0.02 peaks at 18 MB traced (161 MB with
-# chunks of ten million).
+# chunks of ten million).  It is not shrunk to cache size like
+# ``_POOL_ENTRIES``: a chunk holds whole rows of the other side's grid, so
+# at 2^16 a vee x diamond (37,165 Y rows) falls back to one-row products,
+# went from 75 to 170-200 ms and moved the last bit of its value.
 _PAIR_CHUNK = 1 << 20
 # The canonical grid rows of the orders and steps used last are held, at
 # most ``_HELD_GRIDS`` grids of at most ``_HELD_ROWS`` integer rows each, so
@@ -184,8 +199,10 @@ def _pooled_responder(w: np.ndarray, sigma: list[int]):
     + before -.  A step between pooled means counts against monotonicity
     past 1e-12 of its row's max |c|, so ``respond(k * c)`` picks the face
     ``respond(c)`` does.  A row with no non-degenerate candidate gets value
-    -inf and a NaN g: every response is then orthogonal to it.  Queries run
-    along the last axis, so each step is one pass over long contiguous rows.
+    -inf and a NaN g: every response is then orthogonal to it.  The rows
+    are answered in near-equal stacks of about ``_POOL_ENTRIES`` numbers
+    per array, with queries along the last axis, so each step is one pass
+    over contiguous rows that stay in cache.
     """
     n = len(sigma)
     t = _pool_tables(n)
@@ -224,8 +241,10 @@ def _pooled_responder(w: np.ndarray, sigma: list[int]):
 
     def respond(c, with_g=True):
         c = c[:, sigma].T
-        parts = [respond_sorted(c[:, a:a + chunk], with_g)
-                 for a in range(0, c.shape[1], chunk)]
+        q = c.shape[1]
+        k = -(-q // chunk)                           # near-equal stacks
+        parts = [respond_sorted(c[:, q * i // k:q * (i + 1) // k], with_g)
+                 for i in range(k)]
         value = np.concatenate([v for v, _ in parts])
         if not with_g:
             return value, None

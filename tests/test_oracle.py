@@ -344,6 +344,7 @@ class TestPooledResponder:
     @pytest.mark.parametrize("n,entries", [(2, None), (3, None), (4, None),
                                            (5, None), (4, 1)])
     def test_matches_reference_loop(self, n, entries, monkeypatch):
+        widths = stack_widths(monkeypatch)
         if entries is not None:     # one query per stack
             monkeypatch.setattr(oracle, "_POOL_ENTRIES", entries)
         rng = np.random.default_rng(40 + n)
@@ -367,6 +368,7 @@ class TestPooledResponder:
                 else:
                     assert value == pytest.approx(ref_value, abs=1e-12)
                     assert vec == pytest.approx(ref_g, abs=1e-12)
+        assert set(widths) == ({6} if entries is None else {1})
 
     def test_tie_break_first_mask(self):
         # on a decreasing c no nondecreasing response is positive; the
@@ -424,6 +426,85 @@ class TestPooledResponder:
                     continue
                 best_grid = max(best_grid, float(fc @ j.p @ (gc / np.sqrt(var))))
             assert value[0] >= best_grid - 1e-9
+
+
+def stack_widths(monkeypatch):
+    """Make the pooled responders log the queries of every stack they
+    answer; returns the log.  A stack checks its faces once per sign, so
+    each stack is logged twice in a row."""
+    widths = []
+    faces_clear = oracle._faces_clear
+
+    def logged(flagged, face_pairs):
+        widths.append(flagged.shape[1])
+        return faces_clear(flagged, face_pairs)
+
+    monkeypatch.setattr(oracle, "_faces_clear", logged)
+    return widths
+
+
+class TestStacks:
+    @pytest.mark.parametrize("n", (4, 5))
+    def test_stacks_change_no_bits_at_scale(self, n, monkeypatch):
+        # the sweep of a 4-chain at step 0.02 (18,970 profiles) answered on
+        # n symbols: the default budget cuts it into several stacks, and
+        # one stack of the whole batch must give the same bits
+        rng = np.random.default_rng(95 + n)
+        j = random_pmf(rng, 4, n)
+        px_w, py_w = j.p.sum(axis=1), j.p.sum(axis=0)
+        profiles = oracle._monotone_profiles(total_order(j.x_labels), px_w,
+                                             0.02)
+        c = oracle._centered_conditional(profiles @ j.p, py_w)
+        sigma = [int(i) for i in rng.permutation(n)]
+        widths = stack_widths(monkeypatch)
+        respond = oracle._pooled_responder(py_w, sigma)
+        value, g = respond(c)
+        assert len(widths) > 2 and sum(widths[::2]) == len(c)
+        bare = respond(c, with_g=False)[0]
+        monkeypatch.setattr(oracle, "_POOL_ENTRIES", 1 << 30)
+        widths.clear()
+        whole = oracle._pooled_responder(py_w, sigma)
+        whole_value, whole_g = whole(c)
+        assert widths == [len(c)] * 2
+        assert value.tobytes() == whole_value.tobytes() == bare.tobytes()
+        assert g.tobytes() == whole_g.tobytes()
+        assert whole(c, with_g=False)[0].tobytes() == bare.tobytes()
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 5))
+    def test_stacks_near_equal(self, n, monkeypatch):
+        # a batch one query over the budget splits in two halves, never
+        # into a full stack and a one-query stack
+        faces = len(oracle._pool_tables(n).in_face)
+        chunk = oracle._POOL_ENTRIES // (faces * n)
+        rng = np.random.default_rng(97 + n)
+        w = rng.dirichlet(np.ones(n))
+        respond = oracle._pooled_responder(w, list(range(n)))
+        widths = stack_widths(monkeypatch)
+        for q in (chunk, chunk + 1, 2 * chunk + 1, 3 * chunk - 1):
+            c = rng.normal(size=(q, n))
+            c -= (c @ w)[:, None]
+            widths.clear()
+            respond(c, with_g=False)
+            stacks = widths[::2]
+            assert len(stacks) == -(-q // chunk) and sum(stacks) == q
+            assert max(stacks) <= chunk and max(stacks) - min(stacks) <= 1
+            assert min(stacks) > 1
+
+    def test_warm_sweep_memory_bounded(self):
+        # a warm call at the oracle benchmark's configuration on 4x4
+        # chains; with its sweep in one stack of 1.5 MB arrays it peaked
+        # at 13 MB traced
+        rng = np.random.default_rng(98)
+        j = random_pmf(rng, 4, 4)
+        cfg = OracleConfig(grid_step=0.02, refine_iters=50, restart_count=3)
+        value = grid_oracle(j, *total_orders(j), cfg)     # hold the tables
+        tracemalloc.start()
+        try:
+            assert grid_oracle(j, *total_orders(j), cfg) == value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 def reference_face_incidence(n):
