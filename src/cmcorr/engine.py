@@ -773,41 +773,97 @@ def mgf_rhs(j: JointPmf, s1: float, s2: float) -> float:
     |M_XY(s1, s2) - M_X(s1) M_Y(s2)| divided by the geometric mean of
     Var(e^{s1 X}) and Var(e^{s2 Y}); a lower bound certificate for
     max(cmc, cmc with X reversed) since x -> sgn(s) e^{s x} is increasing.
+    The one-point case of :func:`mgf_bound_sup`: missing embeddings raise
+    ``MissingValues``, |s| below ``_S_MIN`` ``SOutOfRange``, and a variance
+    at or below its rounding floor or any non-finite moment (one that
+    overflows included) ``DegenerateDenominator``.
     """
-    if j.x_values is None or j.y_values is None:
-        raise MissingValues("mgf bound needs numeric embeddings")
-    if abs(s1) < _S_MIN or abs(s2) < _S_MIN:
-        raise SOutOfRange(f"|s| must be at least {_S_MIN}")
-    xv = np.asarray(j.x_values)
-    yv = np.asarray(j.y_values)
-    px = marginal_x(j)
-    py = marginal_y(j)
-
-    def m_x(s):
-        return float(px @ np.exp(s * xv))
-
-    def m_y(s):
-        return float(py @ np.exp(s * yv))
-
-    m_joint = float(np.sum(j.p * np.exp(s1 * xv[:, None] + s2 * yv[None, :])))
-    dx = m_x(2 * s1) - m_x(s1) ** 2
-    dy = m_y(2 * s2) - m_y(s2) ** 2
-    floor_x = 1e-12 * (1.0 + abs(m_x(2 * s1)))
-    floor_y = 1e-12 * (1.0 + abs(m_y(2 * s2)))
-    if not all(map(math.isfinite, (m_joint, dx, dy))) or \
-            dx <= floor_x or dy <= floor_y:
-        raise DegenerateDenominator(
-            f"degenerate or non-finite moments at ({s1}, {s2})"
-        )
-    return abs(m_joint - m_x(s1) * m_y(s2)) / math.sqrt(dx * dy)
+    return _mgf_sup(j, [(s1, s2)])
 
 
 def mgf_bound_sup(j: JointPmf, grid) -> float:
-    """Maximum of :func:`mgf_rhs` over a grid of (s1, s2) points."""
+    """Maximum of :func:`mgf_rhs` over a grid of (s1, s2) points.
+
+    The grid is answered in one pass: each marginal moment once per distinct
+    scale, and the joint moments of all points in stacks of at most
+    ``_STACK_ENTRIES`` numbers, so memory stays bounded on large alphabets.
+    Every value is the one :func:`mgf_rhs` gives at its point.  An empty
+    grid raises ``EmptyInput``; otherwise the error is that of the first
+    failing point in grid order, and a degenerate one names that point.
+    """
     grid = list(grid)
     if not grid:
         raise EmptyInput("mgf grid must contain at least one point")
-    return max(mgf_rhs(j, float(s1), float(s2)) for s1, s2 in grid)
+    return _mgf_sup(j, [(float(s1), float(s2)) for s1, s2 in grid])
+
+
+def _mgf_sup(j: JointPmf, points: list) -> float:
+    """The largest value of :func:`mgf_rhs` over a non-empty list of
+    (s1, s2) points, or the error of the first failing point."""
+    if j.x_values is None or j.y_values is None:
+        raise MissingValues("mgf bound needs numeric embeddings")
+    s1, s2 = np.array(points, dtype=float).reshape(-1, 2).T
+    out_of_range = (np.abs(s1) < _S_MIN) | (np.abs(s2) < _S_MIN)
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite moment
+        mx, mx_sq, mx_2 = _mgf_marginal(marginal_x(j), j.x_values, s1)
+        my, my_sq, my_2 = _mgf_marginal(marginal_y(j), j.y_values, s2)
+        joint = _mgf_joint(j, s1, s2)
+        dx = mx_2 - mx_sq
+        dy = my_2 - my_sq
+        degenerate = (~(np.isfinite(joint) & np.isfinite(dx) & np.isfinite(dy))
+                      | (dx <= 1e-12 * (1.0 + np.abs(mx_2)))
+                      | (dy <= 1e-12 * (1.0 + np.abs(my_2))))
+        values = np.abs(joint - mx * my) / np.sqrt(dx * dy)
+    failing = out_of_range | degenerate
+    if failing.any():
+        k = int(failing.argmax())
+        if out_of_range[k]:
+            raise SOutOfRange(f"|s| must be at least {_S_MIN}")
+        a, b = points[k]
+        raise DegenerateDenominator(
+            f"degenerate or non-finite moments at ({a}, {b})"
+        )
+    return max(values.tolist())
+
+
+def _mgf_joint(j: JointPmf, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """E e^{s1 X + s2 Y} at each point, from stacked ``p * e^{s1 x + s2 y}``
+    arrays of at most ``_STACK_ENTRIES`` numbers.  Each point's row is summed
+    pairwise in row-major order, as ``np.sum`` sums one pmf-sized array."""
+    xv = np.asarray(j.x_values)[:, None]
+    yv = np.asarray(j.y_values)
+    step = max(1, _STACK_ENTRIES // j.p.size)
+    stack = np.empty((min(step, len(s1)),) + j.p.shape)
+    joint = np.empty(len(s1))
+    for a in range(0, len(s1), step):
+        b = min(a + step, len(s1))
+        e = stack[:b - a]
+        np.add(s1[a:b, None, None] * xv, s2[a:b, None, None] * yv, out=e)
+        np.exp(e, out=e)
+        e *= j.p
+        joint[a:b] = e.reshape(b - a, -1).sum(axis=1)
+    return joint
+
+
+def _mgf_marginal(pm: np.ndarray, values, s: np.ndarray):
+    """E e^{sV}, its square and E e^{2sV} at each scale of ``s``, each
+    moment computed once per distinct scale."""
+    v = np.asarray(values)
+    scales, index = np.unique(np.concatenate([s, 2 * s]), return_inverse=True)
+    moments = [float(pm @ np.exp(u * v)) for u in scales.tolist()]
+    squares = np.array([_square(m) for m in moments])
+    moments = np.array(moments)
+    once, twice = index.reshape(2, -1)
+    return moments[once], squares[once], moments[twice]
+
+
+def _square(m: float) -> float:
+    """``m ** 2`` as Python computes it (libm ``pow``, which can differ from
+    ``m * m`` in the last bit); infinite where it overflows."""
+    try:
+        return m ** 2
+    except OverflowError:
+        return math.inf
 
 
 def default_mgf_grid(scales=(0.25, 0.5, 1.0, 2.0)) -> list[tuple[float, float]]:

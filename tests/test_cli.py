@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -359,6 +360,17 @@ class TestVerify:
 
     def test_unknown_suite_exits_one(self):
         assert main(["verify", "unknown"]) == 1
+
+    @pytest.mark.parametrize("scale", ["300", "1000"])
+    def test_mgf_overflow_exits_one(self, capsys, scale):
+        # a moment or its square overflows: an input error, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "mgf", "--seed", "1", "--trials", "1",
+                         "--grid", scale]) == 1
+        point = f"({scale}.0, {scale}.0)"
+        assert capsys.readouterr().err == \
+            f"error: degenerate or non-finite moments at {point}\n"
 
     @pytest.mark.parametrize("suite", ["sandwich", "rank-dominance",
                                        "tensorization", "independence"])

@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from cmcorr.engine import (
 )
 from cmcorr.errors import (
     DegenerateDenominator,
+    EmptyInput,
     EnumerationTooLarge,
     InputError,
     MissingValues,
@@ -1325,3 +1327,178 @@ class TestMgf:
             target = max(cmc_exact(j, px, py).value,
                          cmc_x_reversed(j, px, py).value)
             assert mgf_bound_sup(j, grid) <= target + 1e-7
+
+
+def reference_mgf_rhs(j, s1, s2):
+    """The pointwise formula: every moment recomputed at each point and
+    squared by Python's ``**``.  The one-pass grid must match it bit for
+    bit wherever it returns a value or raises a domain error."""
+    if j.x_values is None or j.y_values is None:
+        raise MissingValues("mgf bound needs numeric embeddings")
+    if abs(s1) < engine._S_MIN or abs(s2) < engine._S_MIN:
+        raise SOutOfRange(f"|s| must be at least {engine._S_MIN}")
+    xv = np.asarray(j.x_values)
+    yv = np.asarray(j.y_values)
+    px = marginal_x(j)
+    py = marginal_y(j)
+
+    def m_x(s):
+        return float(px @ np.exp(s * xv))
+
+    def m_y(s):
+        return float(py @ np.exp(s * yv))
+
+    m_joint = float(np.sum(j.p * np.exp(s1 * xv[:, None] + s2 * yv[None, :])))
+    dx = m_x(2 * s1) - m_x(s1) ** 2
+    dy = m_y(2 * s2) - m_y(s2) ** 2
+    floor_x = 1e-12 * (1.0 + abs(m_x(2 * s1)))
+    floor_y = 1e-12 * (1.0 + abs(m_y(2 * s2)))
+    if not all(map(math.isfinite, (m_joint, dx, dy))) or \
+            dx <= floor_x or dy <= floor_y:
+        raise DegenerateDenominator(
+            f"degenerate or non-finite moments at ({s1}, {s2})"
+        )
+    return abs(m_joint - m_x(s1) * m_y(s2)) / math.sqrt(dx * dy)
+
+
+def reference_mgf_bound_sup(j, grid):
+    grid = list(grid)
+    if not grid:
+        raise EmptyInput("mgf grid must contain at least one point")
+    return max(reference_mgf_rhs(j, float(s1), float(s2)) for s1, s2 in grid)
+
+
+def outcome(f, *args):
+    """A value as its float.hex, or an error as its class and message."""
+    try:
+        return f(*args).hex()
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+MGF_GRIDS = {
+    "default": default_mgf_grid(),
+    "scales-0.3-0.7-1.9": default_mgf_grid((0.3, 0.7, 1.9)),
+    "scales-0.01-3": default_mgf_grid((0.01, 3.0)),
+    "one-point": [(0.7, -1.3)],
+    "repeated": [(1.0, 1.0), (-0.5, 2.0), (1.0, 1.0), (1.0, 1.0)],
+}
+
+
+def mgf_instances(seed, count):
+    """Seeded pmfs on 2-5 symbols per side, some cells empty, with integer
+    or real (negative included) embeddings in turn."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        m, n = (int(a) for a in rng.integers(2, 6, size=2))
+        p = rng.dirichlet(np.ones(m * n)).reshape(m, n)
+        p[rng.random((m, n)) < 0.15] = 0.0
+        if p.sum() == 0.0:
+            p[0, 0] = 1.0
+        if k % 2:
+            xv, yv = range(m), range(n)
+        else:
+            xv, yv = 1.5 * rng.normal(size=m), 1.5 * rng.normal(size=n)
+        yield joint_pmf(p / p.sum(), x_values=tuple(xv), y_values=tuple(yv))
+
+
+def uniform_3x3():
+    return joint_pmf(np.full((3, 3), 1 / 9), x_values=(0, 1, 2),
+                     y_values=(0, 1, 2))
+
+
+class TestMgfGrid:
+    """The whole grid in one pass gives the pointwise formula's bits and
+    errors."""
+
+    @pytest.mark.parametrize("name", sorted(MGF_GRIDS))
+    def test_bits_match_pointwise_reference(self, name):
+        grid = MGF_GRIDS[name]
+        results = [outcome(mgf_bound_sup, j, grid)
+                   for j in mgf_instances(7, 40)]
+        expected = [outcome(reference_mgf_bound_sup, j, grid)
+                    for j in mgf_instances(7, 40)]
+        assert results == expected
+        assert sum(isinstance(r, str) for r in results) >= 30
+
+    def test_rhs_is_the_one_point_grid(self):
+        points = [(1.0, 1.0), (-0.25, 2.0), (0.3, -1.9), (3.0, 0.01)]
+        for j in mgf_instances(11, 20):
+            for a, b in points:
+                assert outcome(mgf_rhs, j, a, b) == \
+                    outcome(mgf_bound_sup, j, [(a, b)]) == \
+                    outcome(reference_mgf_rhs, j, a, b)
+
+    def test_stacks_keep_bits(self):
+        # 15,000 cells a point: the 64 points run as stacks of 17, 17, 17, 13
+        rng = np.random.default_rng(3)
+        j = joint_pmf(rng.dirichlet(np.ones(150 * 100)).reshape(150, 100),
+                      x_values=tuple(rng.normal(size=150)),
+                      y_values=tuple(rng.normal(size=100)))
+        grid = default_mgf_grid()
+        assert engine._STACK_ENTRIES // j.p.size == 17
+        assert mgf_bound_sup(j, grid).hex() == \
+            reference_mgf_bound_sup(j, grid).hex()
+
+    def test_large_alphabet_memory_bounded(self):
+        rng = np.random.default_rng(256)
+        j = joint_pmf(rng.dirichlet(np.ones(256 * 256)).reshape(256, 256),
+                      x_values=tuple(rng.normal(size=256)),
+                      y_values=tuple(rng.normal(size=256)))
+        grid = default_mgf_grid()
+        tracemalloc.start()
+        try:
+            value = mgf_bound_sup(j, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+        assert value.hex() == reference_mgf_bound_sup(j, grid).hex()
+
+    @pytest.mark.parametrize("grid, error", [
+        # out of range before a later degenerate point, and the reverse
+        ([(4.0, 1.0), (0.0005, 1.0), (0.25, 1.0)], SOutOfRange),
+        ([(4.0, 1.0), (0.25, 1.0), (0.0005, 1.0)], DegenerateDenominator),
+        ([(0.25, -1.0), (4.0, 1.0), (-0.5, 1.0)], DegenerateDenominator),
+        ([(4.0, 1.0), (-2.0, 0.0), (0.0, 2.0)], SOutOfRange),
+    ])
+    def test_first_failing_point_in_grid_order(self, grid, error):
+        # Var(e^{sX}) sits under its rounding floor for |s| below 0.28 only
+        j = joint_pmf(DSBS, x_values=(0.0, 1e-5), y_values=(0, 1))
+        result = outcome(mgf_bound_sup, j, grid)
+        assert result[0] is error
+        assert result == outcome(reference_mgf_bound_sup, j, grid)
+
+    def test_degenerate_names_its_point(self):
+        j = joint_pmf(DSBS, x_values=(0.0, 1e-5), y_values=(0, 1))
+        with pytest.raises(DegenerateDenominator,
+                           match=r"at \(-0\.25, 1\.0\)$"):
+            mgf_bound_sup(j, [(4.0, 1.0), (-0.5, 1.0), (-0.25, 1.0),
+                              (0.25, 1.0)])
+
+    def test_empty_and_missing(self):
+        with pytest.raises(EmptyInput):
+            mgf_bound_sup(dsbs(), [])
+        with pytest.raises(EmptyInput):
+            mgf_bound_sup(joint_pmf(DSBS), iter(()))
+        for grid in ([(1.0, 1.0)], [(0.0, 1.0), (1.0, 1.0)]):
+            assert outcome(mgf_bound_sup, joint_pmf(DSBS), grid) == \
+                (MissingValues, "mgf bound needs numeric embeddings") == \
+                outcome(reference_mgf_bound_sup, joint_pmf(DSBS), grid)
+
+    def test_overflowing_square_is_degenerate(self):
+        # E e^{300 X} is about 1e260: finite, but its square overflows
+        with pytest.raises(DegenerateDenominator,
+                           match=r"at \(300, 1\)$"):
+            mgf_rhs(uniform_3x3(), 300, 1)
+        with pytest.raises(DegenerateDenominator,
+                           match=r"at \(300\.0, 1\.0\)$"):
+            mgf_bound_sup(uniform_3x3(), [(1.0, 1.0), (300, 1)])
+
+    def test_overflowing_exp_is_degenerate_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDenominator):
+                mgf_rhs(uniform_3x3(), 1000, 1)
+            with pytest.raises(DegenerateDenominator):
+                mgf_bound_sup(uniform_3x3(), default_mgf_grid((1.0, 1000.0)))
