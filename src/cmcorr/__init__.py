@@ -8,7 +8,6 @@ brute-force oracle, and verification suites for its structural properties.
 
 from .classic import (
     PairComparator,
-    difference_comparator,
     grades,
     kendall_tau_b,
     pair_rank_correlation,
@@ -38,6 +37,7 @@ from .engine import (
     CmcOptions,
     cmc_exact,
     cmc_plus,
+    cmc_with_x_reversed,
     cmc_x_reversed,
     default_mgf_grid,
     mgf_bound_sup,
@@ -55,13 +55,7 @@ from .harness import (
     verify_sandwich,
     verify_tensorization,
 )
-from .maxcorr import (
-    SvdBundle,
-    decompose,
-    maximal_correlation,
-    residual_singular_pairs,
-    witsenhausen_matrix,
-)
+from .maxcorr import maximal_correlation, residual_singular_pairs
 from .oracle import OracleConfig, grid_oracle
 from .order import (
     BlockPartition,

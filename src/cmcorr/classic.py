@@ -118,11 +118,6 @@ def sign_comparator(keys) -> PairComparator:
     return PairComparator(values=np.sign(np.subtract.outer(k, k)))
 
 
-def difference_comparator(scores) -> PairComparator:
-    s = np.asarray(scores, dtype=float)
-    return PairComparator(values=np.subtract.outer(s, s))
-
-
 def _check_comparator(comp: PairComparator, keys: np.ndarray,
                       name: str) -> None:
     vals = comp.values

@@ -36,7 +36,7 @@ from .dist import JointPmf, empirical_from_samples
 from .engine import (
     CmcOptions,
     cmc_exact,
-    cmc_x_reversed,
+    cmc_with_x_reversed,
     default_mgf_grid,
 )
 from .errors import InputError, NumericalFailure
@@ -173,9 +173,12 @@ def cmd_compute(args) -> int:
     if args.measure == "all":  # every measure the file supports
         measures = tuple(m for m in MEASURES[:-1] if m != "pearson"
                          or None not in (j.x_values, j.y_values))
-    # cmc and cmc_plus come from one solve
-    cmc = cmc_exact(j, px, py, opts) \
-        if {"cmc", "cmc_plus"} & set(measures) else None
+    # cmc, cmc_plus and cmc_xrev come from one solve
+    cmc = xrev = None
+    if "cmc_xrev" in measures:
+        cmc, xrev = cmc_with_x_reversed(j, px, py, opts)
+    elif {"cmc", "cmc_plus"} & set(measures):
+        cmc = cmc_exact(j, px, py, opts)
     out: dict = {}
     for measure in measures:
         if measure == "cmc":
@@ -185,7 +188,7 @@ def cmd_compute(args) -> int:
             value = None if math.isnan(cmc.value) else max(0.0, cmc.value)
             out[measure] = {"value": value}
         elif measure == "cmc_xrev":
-            out[measure] = _report_entry(j, cmc_x_reversed(j, px, py, opts))
+            out[measure] = _report_entry(j, xrev)
         elif measure == "maxcorr":
             out[measure] = _report_entry(j, maximal_correlation(j))
         elif measure == "pearson":

@@ -32,6 +32,18 @@ and tables of an order depend on the order alone, so those of recently
 solved orders are kept in a small memo keyed on ``(size, strict_pairs)``
 and bounded by the partitions it holds (``MEMO_PARTITIONS``).
 
+One solve answers both the CMC and the CMC with the X order reversed
+(``cmc_with_x_reversed``).  Reversal keeps every face: a block connected
+through strict pairs stays connected, and an acyclic quotient stays
+acyclic.  So ``reverse(px)`` has the faces, merged pmfs and SVDs of ``px``,
+and each pair (f, g) of a face maps to (-f, g), with the opposite
+covariance.  The Y side's checks are shared too.  Only the X side's
+monotone checks and its structural row are taken once more, the latter
+from the reversed order's own quotient depths, which on a general poset
+are not the negated depths.  Each order keeps its own reduction and
+tie-break, so each report is bit for bit that of a solve of its order
+alone, and a forward-only solve does none of this extra work.
+
 Every stack is solved for the extended candidates; the two candidate
 policies differ only in which of them ``cmc_exact`` keeps:
 
@@ -342,6 +354,8 @@ class _Tables:
     pairs: np.ndarray     # (2E,) lower ends of the strict pairs, then upper
     scores: np.ndarray    # (A, size) quotient depths, zero past k
     runs: tuple[tuple[int, int, int], ...]  # (k, start, stop) per count k
+    # the same partitions under the reversed order, once a solve asked
+    flipped: _Tables | None = None
 
     def rows(self, start: int, stop: int) -> _Tables:
         """The tables of the partitions ``parts[start:stop]``."""
@@ -349,7 +363,16 @@ class _Tables:
                        self.pairs, self.scores[start:stop],
                        tuple((k, max(a, start) - start, min(b, stop) - start)
                              for k, a, b in self.runs
-                             if a < stop and b > start))
+                             if a < stop and b > start),
+                       None if self.flipped is None
+                       else self.flipped.rows(start, stop))
+
+    def flip(self) -> _Tables:
+        """The tables of the reversed order, which has the same faces: the
+        pair ends swapped, and the quotient depths taken along them."""
+        lower, upper = self.pairs.reshape(2, -1)
+        return replace(self, pairs=_frozen(np.concatenate([upper, lower])),
+                       scores=_depths(self.block_of, upper, lower))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -363,22 +386,29 @@ def _side_table(p: Poset, parts: Sequence[BlockPartition]) -> _Tables:
     group = sorted((q for q in parts if len(q.blocks) >= 2),
                    key=lambda q: (len(q.blocks), q.blocks))
     pairs = np.array(p.pairs_sorted(), dtype=np.intp).reshape(-1, 2).T
-    lower, upper = pairs
     block_of = _frozen(np.array([q.block_of for q in group],
                                 dtype=np.intp).reshape(len(group), p.size))
-    # depths over all ``size`` block labels: a partition has no edge into
-    # the labels past its own k, so their depths stay zero
-    step = max(1, _STACK_ENTRIES // max(1, len(lower)))
-    scores = _frozen(np.concatenate([np.zeros((0, p.size))] + [
-        _quotient_scores(rows[:, lower], rows[:, upper], p.size)
-        for rows in (block_of[a:a + step]
-                     for a in range(0, len(group), step))
-    ]))
     counts = [len(q.blocks) for q in group]
     runs = tuple((k, bisect_left(counts, k), bisect_right(counts, k))
                  for k in sorted(set(counts)))
-    return _Tables(tuple(group), block_of, _frozen(pairs.ravel()), scores,
-                   runs)
+    return _Tables(tuple(group), block_of, _frozen(pairs.ravel()),
+                   _depths(block_of, *pairs), runs)
+
+
+def _depths(block_of: np.ndarray, lower: np.ndarray,
+            upper: np.ndarray) -> np.ndarray:
+    """:func:`_quotient_scores` of every partition in ``block_of`` (A,
+    size) along the strict pairs ``(lower, upper)``, over all ``size``
+    block labels: a partition has no edge into the labels past its own k,
+    so their depths stay zero.  Depths are exact integers, so neither the
+    order of the pairs nor the chunking moves them."""
+    size = block_of.shape[1]
+    step = max(1, _STACK_ENTRIES // max(1, len(lower)))
+    return _frozen(np.concatenate([np.zeros((0, size))] + [
+        _quotient_scores(rows[:, lower], rows[:, upper], size)
+        for rows in (block_of[a:a + step]
+                     for a in range(0, len(block_of), step))
+    ]))
 
 
 # At most this many partitions, summed over the orders, are kept in the
@@ -417,11 +447,14 @@ class _SideMemo:
             return side
 
     def put(self, key, side: _Side) -> None:
+        """Keep ``side`` under ``key`` as the most recently used entry, in
+        place of any entry held there."""
         with self._lock:
-            if key in self.entries or side.faces > MEMO_PARTITIONS:
+            if side.faces > MEMO_PARTITIONS:
                 return
+            old = self.entries.pop(key, None)
+            self.held += side.faces - (old.faces if old else 0)
             self.entries[key] = side
-            self.held += side.faces
             while self.held > MEMO_PARTITIONS:
                 self.held -= self.entries.popitem(last=False)[1].faces
 
@@ -434,9 +467,11 @@ class _SideMemo:
 _MEMO = _SideMemo()
 
 
-def _sides(px: Poset, py: Poset) -> list[_Side]:
+def _sides(px: Poset, py: Poset, x_reversed: bool = False) -> list[_Side]:
     """The face counts and tables of both orders, from the memo or built
-    and kept there; an order on both sides is enumerated once.
+    and kept there; an order on both sides is enumerated once.  With
+    ``x_reversed``, the X table carries the tables of ``reverse(px)`` as
+    ``flipped``, built once and kept with it.
 
     Raises :class:`EnumerationTooLarge` when the instance has more than
     ``FACE_LIMIT`` faces, before any table is built or anything is kept.
@@ -457,6 +492,11 @@ def _sides(px: Poset, py: Poset) -> list[_Side]:
     for key, faces in parts.items():
         held[key] = _Side(len(faces), _side_table(orders[key], faces))
         _MEMO.put(key, held[key])
+    side = held[keys[0]]
+    if x_reversed and side.table.flipped is None:
+        held[keys[0]] = side._replace(
+            table=replace(side.table, flipped=side.table.flip()))
+        _MEMO.put(keys[0], held[keys[0]])
     return [held[key] for key in keys]
 
 
@@ -583,7 +623,7 @@ class _Kept(NamedTuple):
         ), bool(self.ties[a, b])
 
 
-def _solve_stack(js: JointPmf, tx: _Tables, ty: _Tables):
+def _solve_stack(js: JointPmf, tx: _Tables, ty: _Tables, x_reversed: bool):
     """Every face of one stack at once, whatever its shapes (kx, ky).
 
     The merge, the spectral pass (:func:`padded_residual_spectra`) and the
@@ -593,8 +633,14 @@ def _solve_stack(js: JointPmf, tx: _Tables, ty: _Tables):
     renormalization total of its merged pmfs is taken and, inside the
     spectral pass, one SVD.
 
-    Returns ``(kept, degenerate)`` with ``kept`` the :class:`_Kept` of
-    the svd candidates in each orientation, then of the structural ones.
+    Reversing X keeps the faces, the merged pmfs, the spectra and every Y
+    side check, so with ``x_reversed`` only the X side's structural row,
+    monotone checks and covariances are taken once more, along
+    ``tx.flipped``, exactly as a solve of the reversed order takes them.
+
+    Returns ``(kept, degenerate)``: ``kept`` holds, for the order and then
+    for its X reversal when asked, the :class:`_Kept` of the svd
+    candidates in each orientation, then of the structural ones.
     """
     merged = _merge(js.p, tx.block_of, ty.block_of)
     ax, ay, nx, ny = merged.shape
@@ -620,30 +666,103 @@ def _solve_stack(js: JointPmf, tx: _Tables, ty: _Tables):
     g = right / np.swapaxes(np.sqrt(np.where(wy > 0.0, wy, 1.0)), -1, -2)
     feasible = real & _standardized(wx, f) & _standardized(wy, g)
     # the structural fallback rides along as one more row
-    fn, ok_f = _normalize(wx, tx.scores[:, None, None])
     gn, ok_g = _normalize(wy, ty.scores[None, :, None])
-    f = np.concatenate([f, fn], axis=2)
     g = np.concatenate([g, gn], axis=2)
-    up_f, down_f = _monotone(f, tx.block_of[:, None, None], tx.pairs)
-    up_g, down_g = _monotone(g, ty.block_of[None, :, None], ty.pairs)
-    cov = _cov(merged, wx, wy, f, g)
-    kept = []
+    g_tests = _monotone(g, ty.block_of[None, :, None], ty.pairs)
     svd, last = slice(0, -1), slice(-1, None)
-    for orientation in (1, -1):
-        # the pair is tested first, then its global flip, which has the
-        # same covariance
-        first = feasible & up_f[..., svd] & up_g[..., svd]
-        flip = feasible & ~first
-        kept.append(_Kept(first | (flip & down_f[..., svd] & down_g[..., svd]),
-                          flip, feasible.astype(np.intp) + flip,
-                          orientation * cov[..., svd], f[..., svd, :],
-                          g[..., svd, :], tx, ty, ties, "svd", orientation))
-        up_g, down_g = down_g, up_g
-    ok = ok_f & ok_g
-    kept.append(_Kept(ok & up_f[..., last] & up_g[..., last],
-                      np.zeros_like(ok), ok, cov[..., last], f[..., last, :],
-                      g[..., last, :], tx, ty, ties, "structural", 1))
-    return kept, int(ties.sum())
+
+    def kept(tx: _Tables) -> list[_Kept]:
+        """The candidates under the X order that ``tx`` tabulates."""
+        fn, ok_f = _normalize(wx, tx.scores[:, None, None])
+        fx = np.concatenate([f, fn], axis=2)
+        up_f, down_f = _monotone(fx, tx.block_of[:, None, None], tx.pairs)
+        up_g, down_g = g_tests
+        cov = _cov(merged, wx, wy, fx, g)
+        out = []
+        for orientation in (1, -1):
+            # the pair is tested first, then its global flip, which has the
+            # same covariance
+            first = feasible & up_f[..., svd] & up_g[..., svd]
+            flip = feasible & ~first
+            out.append(_Kept(
+                first | (flip & down_f[..., svd] & down_g[..., svd]), flip,
+                feasible.astype(np.intp) + flip, orientation * cov[..., svd],
+                f, g[..., svd, :], tx, ty, ties, "svd", orientation))
+            up_g, down_g = down_g, up_g
+        ok = ok_f & ok_g
+        out.append(_Kept(ok & up_f[..., last] & up_g[..., last],
+                         np.zeros_like(ok), ok, cov[..., last], fn,
+                         g[..., last, :], tx, ty, ties, "structural", 1))
+        return out
+
+    orders = [tx, tx.flipped] if x_reversed else [tx]
+    return [kept(t) for t in orders], int(ties.sum())
+
+
+class _Reduction:
+    """One order's running reduction over the stacks: each stack is
+    reduced before the next is solved, and only the candidates within
+    ``TIE_WINDOW`` of the best covariance so far are kept."""
+
+    def __init__(self, mode: str):
+        self.mode = mode
+        self.best_cov = -math.inf
+        self.near: list[tuple[Candidate, bool]] = []
+        self.checked = self.n_kept = 0
+
+    def add(self, kept: list[_Kept]) -> None:
+        if self.mode == "paper_faithful":
+            # the literal set: the second singular pair, positive
+            # orientation; the other fields are read only where hit holds
+            kept = [k._replace(hit=k.hit[..., :1], tested=k.tested[..., :1],
+                               cov=k.cov[..., :1])
+                    for k in kept if k.kind == "svd" and k.orientation > 0]
+        for k in kept:
+            self.checked += int(k.tested.sum())
+            if k.hit.any():
+                self.n_kept += np.count_nonzero(k.hit)
+                self.best_cov = max(self.best_cov, float(k.cov[k.hit].max()))
+        floor = self.best_cov - TIE_WINDOW
+        self.near = [c for c in self.near if c[0].cov >= floor]
+        self.near += [k.candidate(*cell) for k in kept for cell in zip(
+            *np.nonzero(k.hit & (k.cov >= floor)))]
+
+    def report(self, measure: str, js: JointPmf, px: Poset, py: Poset,
+               keep_x, keep_y, diagnostics: dict,
+               start: float) -> CorrelationReport:
+        """The report of the best candidate under ``px`` and ``py``, its
+        witness extended to their zero-mass symbols; ``diagnostics`` is
+        completed in place."""
+        if not self.n_kept:
+            diagnostics["no_witness"] = True
+            diagnostics["explanation"] = (
+                "no singular-pair candidate was monotone on any merge "
+                "subset; the literal candidate set cannot certify this "
+                "instance (its optimum is negative or degenerate); use "
+                "extended mode"
+            )
+            diagnostics["runtime_seconds"] = time.perf_counter() - start
+            return CorrelationReport(measure=measure, value=float("nan"),
+                                     witness=None, diagnostics=diagnostics)
+
+        best, tied = min(self.near, key=lambda c: c[0].sort_key())
+        diagnostics["tie_candidates"] = len(self.near)
+        # the report's value is the winner's covariance as pair_stats
+        # gives it
+        value = _clip_value(pair_stats(js, best.pair).cov)
+        witness = ScoredPair(
+            f=_extend_monotone(best.pair.f, keep_x, px),
+            g=_extend_monotone(best.pair.g, keep_y, py),
+        )
+        diagnostics["winning_partition_x"] = best.partition_x.blocks
+        diagnostics["winning_partition_y"] = best.partition_y.blocks
+        diagnostics["winning_kind"] = best.kind
+        diagnostics["winning_index"] = best.index
+        diagnostics["winning_orientation"] = best.orientation
+        diagnostics["winning_face_degenerate"] = tied
+        diagnostics["runtime_seconds"] = time.perf_counter() - start
+        return CorrelationReport(measure=measure, value=value,
+                                 witness=witness, diagnostics=diagnostics)
 
 
 def _extend_monotone(sub_values: np.ndarray, keep: tuple[int, ...],
@@ -686,69 +805,48 @@ def cmc_exact(j: JointPmf, px: Poset, py: Poset,
     Raises :class:`EnumerationTooLarge` when the instance has more than
     ``FACE_LIMIT`` faces, before any merge or spectral work.
     """
+    return _solve(j, px, py, opts, x_reversed=False)[0]
+
+
+def cmc_with_x_reversed(
+        j: JointPmf, px: Poset, py: Poset, opts: CmcOptions = CmcOptions(),
+) -> tuple[CorrelationReport, CorrelationReport]:
+    """:func:`cmc_exact` and :func:`cmc_x_reversed` of one instance, from
+    one pass over the faces; each report is the one its function gives."""
+    return tuple(_solve(j, px, py, opts, x_reversed=True))
+
+
+def _solve(j: JointPmf, px: Poset, py: Poset, opts: CmcOptions,
+           x_reversed: bool) -> list[CorrelationReport]:
+    """The report of ``cmc_exact(j, px, py, opts)`` and, with
+    ``x_reversed``, that of ``cmc_x_reversed`` after it.
+
+    ``reverse(px)`` has the faces of ``px``: connected blocks and an
+    acyclic quotient are both kept by reversal.  So the two orders share
+    the merged pmfs, their SVDs and the Y side's checks, and each stack is
+    solved once for both (see :func:`_solve_stack`).
+    """
     start = time.perf_counter()
     js, pxs, pys, keep_x, keep_y = strip_zero_support(j, px, py)
-    side_x, side_y = _sides(pxs, pys)
-    # each stack is reduced before the next is solved: only the candidates
-    # within TIE_WINDOW of the best covariance so far are kept
-    best_cov = -math.inf
-    near: list[tuple[Candidate, bool]] = []
-    checked = n_kept = degenerate = 0
+    side_x, side_y = _sides(pxs, pys, x_reversed)
+    reductions = [_Reduction(opts.mode) for _ in range(1 + x_reversed)]
+    degenerate = 0
     for tx, ty in _stacks(side_x.table, side_y.table):
-        kept, d = _solve_stack(js, tx, ty)
-        if opts.mode == "paper_faithful":
-            # the literal set: the second singular pair, positive
-            # orientation; the other fields are read only where hit holds
-            kept = [k._replace(hit=k.hit[..., :1], tested=k.tested[..., :1],
-                               cov=k.cov[..., :1])
-                    for k in kept if k.kind == "svd" and k.orientation > 0]
+        kept, d = _solve_stack(js, tx, ty, x_reversed)
         degenerate += d
-        for k in kept:
-            checked += int(k.tested.sum())
-            if k.hit.any():
-                n_kept += np.count_nonzero(k.hit)
-                best_cov = max(best_cov, float(k.cov[k.hit].max()))
-        near = [c for c in near if c[0].cov >= best_cov - TIE_WINDOW]
-        near += [k.candidate(*cell) for k in kept for cell in zip(*np.nonzero(
-            k.hit & (k.cov >= best_cov - TIE_WINDOW)))]
-    diagnostics = {
+        for reduction, k in zip(reductions, kept):
+            reduction.add(k)
+    orders = [("cmc", px)]
+    if x_reversed:
+        orders.append(("cmc_x_reversed", reverse(px)))
+    return [r.report(measure, js, order, py, keep_x, keep_y, {
         "mode": opts.mode,
         "partitions_enumerated": side_x.faces * side_y.faces,
         "faces_solved": len(side_x.table.parts) * len(side_y.table.parts),
-        "candidates_checked": int(checked),
-        "candidates_kept": int(n_kept),
+        "candidates_checked": int(r.checked),
+        "candidates_kept": int(r.n_kept),
         "degenerate_spectra": degenerate,
-    }
-
-    if not n_kept:
-        diagnostics["no_witness"] = True
-        diagnostics["explanation"] = (
-            "no singular-pair candidate was monotone on any merge subset; "
-            "the literal candidate set cannot certify this instance "
-            "(its optimum is negative or degenerate); use extended mode"
-        )
-        diagnostics["runtime_seconds"] = time.perf_counter() - start
-        return CorrelationReport(measure="cmc", value=float("nan"),
-                                 witness=None, diagnostics=diagnostics)
-
-    best, tied = min(near, key=lambda c: c[0].sort_key())
-    diagnostics["tie_candidates"] = len(near)
-    # the report's value is the winner's covariance as pair_stats gives it
-    value = _clip_value(pair_stats(js, best.pair).cov)
-
-    witness = ScoredPair(
-        f=_extend_monotone(best.pair.f, keep_x, px),
-        g=_extend_monotone(best.pair.g, keep_y, py),
-    )
-    diagnostics["winning_partition_x"] = best.partition_x.blocks
-    diagnostics["winning_partition_y"] = best.partition_y.blocks
-    diagnostics["winning_kind"] = best.kind
-    diagnostics["winning_index"] = best.index
-    diagnostics["winning_orientation"] = best.orientation
-    diagnostics["winning_face_degenerate"] = tied
-    diagnostics["runtime_seconds"] = time.perf_counter() - start
-    return CorrelationReport(measure="cmc", value=value, witness=witness,
-                             diagnostics=diagnostics)
+    }, start) for r, (measure, order) in zip(reductions, orders)]
 
 
 def cmc_plus(j: JointPmf, px: Poset, py: Poset,
@@ -762,9 +860,16 @@ def cmc_plus(j: JointPmf, px: Poset, py: Poset,
 
 def cmc_x_reversed(j: JointPmf, px: Poset, py: Poset,
                    opts: CmcOptions = CmcOptions()) -> CorrelationReport:
-    """CMC with the X order reversed (detects discordant dependence)."""
-    report = cmc_exact(j, reverse(px), py, opts)
-    return replace(report, measure="cmc_x_reversed")
+    """CMC with the X order reversed (detects discordant dependence): the
+    report of ``cmc_exact(j, reverse(px), py, opts)``, measure renamed.
+
+    It comes from the solve of ``px`` itself (:func:`cmc_with_x_reversed`):
+    reversal keeps every face, merged pmf and SVD, and maps each pair
+    (f, g) to (-f, g) with the opposite covariance, so only the X side's
+    monotone checks and its structural row, built from the reversed
+    order's quotient depths, are taken again.
+    """
+    return cmc_with_x_reversed(j, px, py, opts)[1]
 
 
 def mgf_rhs(j: JointPmf, s1: float, s2: float) -> float:
@@ -813,7 +918,12 @@ def _mgf_sup(j: JointPmf, points: list) -> float:
         degenerate = (~(np.isfinite(joint) & np.isfinite(dx) & np.isfinite(dy))
                       | (dx <= 1e-12 * (1.0 + np.abs(mx_2)))
                       | (dy <= 1e-12 * (1.0 + np.abs(my_2))))
-        values = np.abs(joint - mx * my) / np.sqrt(dx * dy)
+        # dx * dy can overflow while both variances are finite; only there
+        # is the root taken factor by factor, which rounds differently
+        scale = dx * dy
+        scale = np.where(np.isfinite(scale), np.sqrt(scale),
+                         np.sqrt(dx) * np.sqrt(dy))
+        values = np.abs(joint - mx * my) / scale
     failing = out_of_range | degenerate
     if failing.any():
         k = int(failing.argmax())

@@ -11,8 +11,6 @@ numerical SVD (see :func:`residual_singular_pairs`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dist import (
@@ -35,24 +33,6 @@ _SIZE_LIMIT = 4096
 _NULL_WITNESS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SvdBundle:
-    """Singular values (descending) with matched orthonormal vector families.
-
-    ``left_vectors[i]`` and ``right_vectors[i]`` are the vectors paired with
-    ``singular_values[i]``; each family is orthonormal within 1e-8 and the
-    weighted outer-product sum reconstructs the input within 1e-8.
-    """
-
-    singular_values: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left_vectors.T * self.singular_values) @ \
-            self.right_vectors
-
-
 def _normalized(p: np.ndarray, px: np.ndarray, py: np.ndarray,
                pad_x: int = 0, pad_y: int = 0) -> np.ndarray:
     """p / sqrt(px py) for marginals ``px``, ``py`` of which exactly
@@ -67,11 +47,6 @@ def _normalized(p: np.ndarray, px: np.ndarray, py: np.ndarray,
     if pad_y:
         py = np.where(py == 0.0, 1.0, py)
     return p / np.sqrt(px[..., :, None] * py[..., None, :])
-
-
-def witsenhausen_matrix(j: JointPmf) -> np.ndarray:
-    """p(x, y) / sqrt(p(x) p(y)); marginals must be strictly positive."""
-    return _normalized(j.p, marginal_x(j), marginal_y(j))
 
 
 def _fix_signs(left: np.ndarray, right: np.ndarray) -> None:
@@ -107,18 +82,6 @@ def _lapack(arr: np.ndarray):
         return np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-
-
-def decompose(m) -> SvdBundle:
-    """Full thin SVD with a deterministic sign convention."""
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2:
-        raise NonFiniteValue("input must be a matrix")
-    _check(arr, arr.size)
-    u, s, vt = _lapack(arr)
-    left = np.ascontiguousarray(u.T)
-    _fix_signs(left, vt)
-    return SvdBundle(singular_values=s, left_vectors=left, right_vectors=vt)
 
 
 def padded_residual_spectra(p: np.ndarray, runs_x, runs_y):

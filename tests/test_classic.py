@@ -6,7 +6,6 @@ import pytest
 from cmcorr.classic import (
     PairComparator,
     _check_comparator,
-    difference_comparator,
     grades,
     kendall_tau_b,
     pair_rank_correlation,
@@ -28,6 +27,12 @@ DSBS = [[0.4, 0.1], [0.1, 0.4]]
 
 def dsbs():
     return joint_pmf(DSBS, x_values=(0, 1), y_values=(0, 1))
+
+
+def difference_comparator(scores) -> PairComparator:
+    """Reference: the comparator v[a, b] = s(a) - s(b) of the scores s."""
+    s = np.asarray(scores, dtype=float)
+    return PairComparator(values=np.subtract.outer(s, s))
 
 
 def random_pmf(rng, m, n):

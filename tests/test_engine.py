@@ -4,6 +4,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from cmcorr.engine import (
     CmcOptions,
     cmc_exact,
     cmc_plus,
+    cmc_with_x_reversed,
     cmc_x_reversed,
     default_mgf_grid,
     distinct_partitions,
@@ -685,6 +687,157 @@ class TestCmcXReversed:
             maximal_correlation(j).value, abs=1e-9)
 
 
+def report_bits(report):
+    """A report's measure, its value and witness as float.hex, and its
+    diagnostics without the runtime."""
+    def hexed(values):
+        return [float(v).hex() for v in values]
+
+    witness = None if report.witness is None else \
+        (hexed(report.witness.f), hexed(report.witness.g))
+    return (report.measure, float(report.value).hex(), witness,
+            stable(report)[2])
+
+
+def two_solves(j, px, py, opts):
+    """The reports of a separate solve of each order."""
+    return (cmc_exact(j, px, py, opts),
+            replace(cmc_exact(j, reverse(px), py, opts),
+                    measure="cmc_x_reversed"))
+
+
+def assert_one_solve_is_two(j, px, py):
+    for mode in MODES:
+        opts = CmcOptions(mode=mode)
+        one = cmc_with_x_reversed(j, px, py, opts)
+        assert [report_bits(r) for r in one] == \
+            [report_bits(r) for r in two_solves(j, px, py, opts)]
+        assert report_bits(cmc_x_reversed(j, px, py, opts)) == \
+            report_bits(one[1])
+
+
+def n_shape(labels=("a", "b", "c", "d")):
+    """a < b < c and a < d: d is maximal one level below c, so the
+    reversed order's depths are not the negated depths."""
+    return poset_from_pairs(labels, {(0, 1), (1, 2), (0, 3)})
+
+
+class TestOneSolveBothWays:
+    """One solve gives the report of each order, bit for bit as a solve of
+    ``reverse(px)`` gives it: value, witness and every diagnostic but the
+    runtime, in both modes."""
+
+    def test_seeded_chains(self, monkeypatch):
+        rng = np.random.default_rng(2101)
+        stripped = 0
+        for t in range(48):
+            if t % 8 == 0:  # a cold memo now and then
+                monkeypatch.setattr(engine, "_MEMO", engine._SideMemo())
+            m, n = (int(k) for k in rng.integers(2, 7, size=2))
+            px = total_order([f"x{i}" for i in range(m)])
+            py = total_order([f"y{i}" for i in range(n)])
+            px = reverse(px) if t % 3 == 1 else px
+            py = reverse(py) if t % 2 else py
+            kind = ("random", "independent", "sparse", "tiny")[t % 4]
+            j = seeded_instance(rng, kind, px, py)[0]
+            if t % 3 == 0 and m > 2 and n > 2:  # a zero-mass symbol a side
+                p = j.p.copy()
+                p[rng.integers(m)] = 0.0
+                p[:, rng.integers(n)] = 0.0
+                j = joint_pmf(p / p.sum(), j.x_labels, j.y_labels)
+            stripped += strip_zero_support(j, px, py)[0] is not j
+            assert_one_solve_is_two(j, px, py)
+        assert stripped >= 8
+
+    @pytest.mark.parametrize("x_order", [
+        "vee", "wedge", "diamond", "n_shape", "antichain", "cube3"])
+    @pytest.mark.parametrize("kind", ["random", "independent", "sparse"])
+    def test_posets(self, x_order, kind):
+        labels3 = ["a", "b", "c"]
+        px = {"vee": poset_from_pairs(labels3, {(0, 1), (0, 2)}),
+              "wedge": poset_from_pairs(labels3, {(1, 0), (2, 0)}),
+              "diamond": reference_posets()["diamond"],
+              "n_shape": n_shape(),
+              "antichain": antichain(labels3),
+              "cube3": hypercube(3)}[x_order]
+        rng = np.random.default_rng(2102)
+        for py in (total_order(["0", "1", "2"]),
+                   reverse(total_order(["0", "1"])),
+                   poset_from_pairs(labels3, {(0, 1), (0, 2)})):
+            assert_one_solve_is_two(*seeded_instance(rng, kind, px, py))
+
+    def test_reversed_depths_are_not_negated_depths(self):
+        # so the reversed order needs its own structural row: on these
+        # orders some face's reversed depths are no decreasing affine map
+        # of its depths, as they are on chains, the vee and the diamond
+        for p, count in ((n_shape(), 1), (hypercube(3), 54),
+                         (total_order("abcd"), 0),
+                         (reference_posets()["diamond"], 0)):
+            table = engine._side_table(p, distinct_partitions(p))
+            flipped = table.flip()
+            assert flipped.parts == table.parts
+            differ = 0
+            for a, part in enumerate(table.parts):
+                k = len(part.blocks)
+                d, e = table.scores[a, :k], flipped.scores[a, :k]
+                assert np.array_equal(e, reference_quotient_scores(
+                    reverse(p), part))
+                # e = c - b d with b > 0 means e + b d is constant
+                b = (e.max() - e.min()) / (d.max() - d.min())
+                differ += not (b > 0 and np.ptp(e + b * d) == 0.0)
+            assert differ == count
+
+    def test_independent_pmf_ties_both_ways(self):
+        # +lambda and -lambda are both about 0: both orders tie across
+        # orientations, and each picks the two-solve winner
+        j = joint_pmf(np.outer([0.2, 0.3, 0.5], [0.6, 0.4]))
+        px, py = total_orders(j)
+        forward, backward = cmc_with_x_reversed(j, px, py)
+        assert abs(forward.value) <= 1e-12 and abs(backward.value) <= 1e-12
+        assert forward.diagnostics["tie_candidates"] > 1
+        assert backward.diagnostics["tie_candidates"] > 1
+        assert_one_solve_is_two(j, px, py)
+
+    def test_literal_mode_without_witness(self):
+        # concordant one way, discordant the other: the literal set
+        # certifies only the concordant order
+        j = joint_pmf([[0.5, 0.0], [0.0, 0.5]])
+        opts = CmcOptions(mode="paper_faithful")
+        for px, py in (total_orders(j), discordant_uniform_pair()[1:]):
+            reports = cmc_with_x_reversed(j, px, py, opts)
+            assert sorted(math.isnan(r.value) for r in reports) == \
+                [False, True]
+            assert_one_solve_is_two(j, px, py)
+
+    def test_several_stacks(self):
+        # 512 x 8 faces, solved as several stacks
+        rng = np.random.default_rng(2103)
+        j = random_pmf(rng, 10, 4)
+        px, py = total_orders(j)
+        side_x, side_y = engine._sides(px, py)
+        assert len(list(engine._stacks(side_x.table, side_y.table))) > 1
+        assert_one_solve_is_two(j, px, py)
+
+    def test_forward_solve_builds_no_reversed_table(self, monkeypatch):
+        calls = enumerate_with(monkeypatch, distinct_partitions)
+        j = random_pmf(np.random.default_rng(2104), 4, 3)
+        px, py = poset_from_pairs(j.x_labels, {(0, 1), (1, 2), (0, 3)}), \
+            total_order(j.y_labels)
+        cmc_exact(j, px, py)
+        assert all(side.table.flipped is None
+                   for side in engine._MEMO.entries.values())
+        cmc_with_x_reversed(j, px, py)
+        cmc_x_reversed(j, px, py)
+        # the reversed order is never enumerated, and its tables are kept
+        # with those of px
+        assert len(calls) == 2
+        held = engine._MEMO.entries[(px.size, px.strict_pairs)].table
+        assert held.flipped is not None and held.flipped.flipped is None
+        assert len(engine._MEMO.entries) == 2
+        assert engine._MEMO.held == sum(
+            side.faces for side in engine._MEMO.entries.values())
+
+
 class TestStructuralProperties:
     def test_sandwich(self):
         rng = np.random.default_rng(23)
@@ -1224,8 +1377,9 @@ class TestFaceMemo:
             rng = np.random.default_rng(seed)
             try:
                 for _ in range(500):
-                    a, b = rng.integers(len(chains), size=2)
-                    engine._sides(chains[a], chains[b])
+                    # a solve of both X orders replaces its held entry
+                    a, b, both = rng.integers(len(chains), size=3)
+                    engine._sides(chains[a], chains[b], both % 2 == 1)
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
@@ -1358,7 +1512,11 @@ def reference_mgf_rhs(j, s1, s2):
         raise DegenerateDenominator(
             f"degenerate or non-finite moments at ({s1}, {s2})"
         )
-    return abs(m_joint - m_x(s1) * m_y(s2)) / math.sqrt(dx * dy)
+    scale = dx * dy
+    # the root factor by factor only where the product overflows
+    scale = math.sqrt(scale) if math.isfinite(scale) else \
+        math.sqrt(dx) * math.sqrt(dy)
+    return abs(m_joint - m_x(s1) * m_y(s2)) / scale
 
 
 def reference_mgf_bound_sup(j, grid):
@@ -1494,6 +1652,18 @@ class TestMgfGrid:
         with pytest.raises(DegenerateDenominator,
                            match=r"at \(300\.0, 1\.0\)$"):
             mgf_bound_sup(uniform_3x3(), [(1.0, 1.0), (300, 1)])
+
+    @pytest.mark.parametrize("s", [200, 300, 350])
+    def test_product_of_variances_overflows(self, s):
+        # both variances are finite, about e^{2s} / 4, but not their
+        # product: the value is still the exact 0.6
+        j = dsbs()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = mgf_rhs(j, s, s)
+            assert mgf_bound_sup(j, [(s, s), (1.0, -1.0)]) == value
+        assert abs(value - 0.6) <= 1e-12
+        assert value.hex() == reference_mgf_rhs(j, s, s).hex()
 
     def test_overflowing_exp_is_degenerate_without_warning(self):
         with warnings.catch_warnings():

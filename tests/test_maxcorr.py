@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,14 +12,46 @@ from cmcorr.errors import (
     ZeroMarginal,
 )
 import cmcorr.maxcorr as maxcorr
-from cmcorr.maxcorr import (
-    decompose,
-    maximal_correlation,
-    residual_singular_pairs,
-    witsenhausen_matrix,
-)
+from cmcorr.maxcorr import maximal_correlation, residual_singular_pairs
 
 DSBS = [[0.4, 0.1], [0.1, 0.4]]
+
+
+@dataclass(frozen=True)
+class SvdBundle:
+    """Singular values (descending) with matched orthonormal vector families.
+
+    ``left_vectors[i]`` and ``right_vectors[i]`` are the vectors paired with
+    ``singular_values[i]``; each family is orthonormal within 1e-8 and the
+    weighted outer-product sum reconstructs the input within 1e-8.
+    """
+
+    singular_values: np.ndarray
+    left_vectors: np.ndarray
+    right_vectors: np.ndarray
+
+    def reconstruct(self) -> np.ndarray:
+        return (self.left_vectors.T * self.singular_values) @ \
+            self.right_vectors
+
+
+def witsenhausen_matrix(j):
+    """Reference: p(x, y) / sqrt(p(x) p(y)); marginals must be strictly
+    positive."""
+    return maxcorr._normalized(j.p, marginal_x(j), marginal_y(j))
+
+
+def decompose(m) -> SvdBundle:
+    """Reference: the full thin SVD of one matrix, under the guards and the
+    sign convention of the engine's stacked spectra."""
+    arr = np.asarray(m, dtype=float)
+    if arr.ndim != 2:
+        raise NonFiniteValue("input must be a matrix")
+    maxcorr._check(arr, arr.size)
+    u, s, vt = maxcorr._lapack(arr)
+    left = np.ascontiguousarray(u.T)
+    maxcorr._fix_signs(left, vt)
+    return SvdBundle(singular_values=s, left_vectors=left, right_vectors=vt)
 
 
 def binary_closed_form(p):
