@@ -233,6 +233,9 @@ def _parse_grid(text: str) -> list[tuple[float, float]]:
 
 
 def cmd_verify(args) -> int:
+    # no trials certify nothing, and a negative count is no count at all
+    if args.trials < 1:
+        raise InputError(f"--trials must be at least 1, not {args.trials}")
     if args.suite == "fkg":
         rng = np.random.default_rng(args.seed)
         biases = rng.uniform(0.05, 0.95, size=(args.trials, args.n))

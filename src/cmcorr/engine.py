@@ -44,6 +44,15 @@ are not the negated depths.  Each order keeps its own reduction and
 tie-break, so each report is bit for bit that of a solve of its order
 alone, and a forward-only solve does none of this extra work.
 
+Many pmfs over one pair of orders are solved together (``cmc_many``).
+The faces and tables depend on the orders alone, so the pmfs whose
+stripped orders agree form one group, and every stack of the group carries
+a leading pmf axis: one merge, one spectral pass and one set of checks for
+all of them, and per shape one stacked SVD.  The SVD and every sum see each
+pmf's faces as they would alone, and each pmf keeps its own reduction and
+tie-break, so each report is bit for bit that of a solve of its pmf alone.
+``cmc_exact`` and ``cmc_with_x_reversed`` are the one-pmf case.
+
 Every stack is solved for the extended candidates; the two candidate
 policies differ only in which of them ``cmc_exact`` keeps:
 
@@ -81,6 +90,7 @@ from .dist import (
     strip_zero_support,
 )
 from .errors import (
+    CmcorrError,
     DegenerateDenominator,
     EmptyInput,
     EnumerationTooLarge,
@@ -500,48 +510,57 @@ def _sides(px: Poset, py: Poset, x_reversed: bool = False) -> list[_Side]:
     return [held[key] for key in keys]
 
 
-def _stacks(tx: _Tables, ty: _Tables):
-    """Every face, as stacks ``(tx, ty)`` of consecutive partitions of
-    each side, each small enough that no array of its solve, padded to the
-    alphabet sizes, holds much more than ``_STACK_ENTRIES`` numbers."""
+def _stacks(count: int, tx: _Tables, ty: _Tables):
+    """Every face of ``count`` pmfs, as stacks ``(pmfs, tx, ty)`` of
+    consecutive pmfs (a slice) and consecutive partitions of each side,
+    each small enough that no array of its solve, padded to the alphabet
+    sizes, holds much more than ``_STACK_ENTRIES`` numbers: the budget
+    counts pmfs times faces.  The pmfs are cut last, so one pmf is cut as
+    it would be alone."""
     nx, ex = tx.block_of.shape[1], len(tx.pairs)
     ny, ey = ty.block_of.shape[1], len(ty.pairs)
-    # numbers per face (merged pmf, block functions and their values at
-    # the pair ends), per X partition (X-merged rows and pair-end blocks)
-    # and per Y partition
+    # numbers per face of a pmf (merged pmf, block functions and their
+    # values at the pair ends), per X partition of a pmf (X-merged rows and
+    # pair-end blocks) and per Y partition
     per_face = nx * ny + min(nx, ny) * (nx + ny + ex + ey)
     per_x = nx * ny + ex
     per_y = ny + ey
     step_y = max(1, min(len(ty.parts), _STACK_ENTRIES // per_face,
                         _STACK_ENTRIES // per_y))
-    step_x = max(1, min(_STACK_ENTRIES // (per_face * step_y),
+    step_x = max(1, min(len(tx.parts), _STACK_ENTRIES // (per_face * step_y),
                         _STACK_ENTRIES // per_x))
-    for a in range(0, len(tx.parts), step_x):
-        sub_x = tx.rows(a, a + step_x)
-        for b in range(0, len(ty.parts), step_y):
-            yield sub_x, ty.rows(b, b + step_y)
+    step = max(1, min(count, _STACK_ENTRIES // (per_face * step_x * step_y),
+                      _STACK_ENTRIES // (per_x * step_x)))
+    xs = [tx.rows(a, a + step_x) for a in range(0, len(tx.parts), step_x)]
+    ys = [ty.rows(b, b + step_y) for b in range(0, len(ty.parts), step_y)]
+    for first in range(0, count, step):
+        for sub_x in xs:
+            for sub_y in ys:
+                yield slice(first, first + step), sub_x, sub_y
 
 
 def _merge(p: np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
-    """(Ax, Ay, nx, ny) merged pmfs of the faces ``bx`` x ``by``: entry
-    (r, s) adds the mass of the symbols in X block r and Y block s, and the
-    entries past a face's block counts are zero.
+    """(B, Ax, Ay, nx, ny) merged pmfs of each pmf in ``p`` (B, nx, ny) on
+    the faces ``bx`` x ``by``: entry (r, s) adds the mass of the symbols in
+    X block r and Y block s, and the entries past a face's block counts are
+    zero.
 
     X blocks are merged first, then Y blocks, each adding its members in
     index order: the sums of the one-hot product ``Zx p Zy^T``.
     """
-    ax, nx = bx.shape
-    ay, ny = by.shape
-    target = (np.arange(ax)[:, None] * nx + bx)[..., None] * ny + \
-        np.arange(ny)
-    rows = np.bincount(target.ravel(),
-                       weights=np.broadcast_to(p, target.shape).ravel(),
-                       minlength=ax * nx * ny).reshape(ax, 1, nx, ny)
-    target = np.arange(ax * ay * nx).reshape(ax, ay, nx, 1) * ny + \
-        by[None, :, None, :]
-    return np.bincount(target.ravel(),
-                       weights=np.broadcast_to(rows, target.shape).ravel(),
-                       minlength=ax * ay * nx * ny).reshape(ax, ay, nx, ny)
+    count, nx, ny = p.shape
+    ax, ay = len(bx), len(by)
+    target = (np.arange(count * ax).reshape(count, ax, 1) * nx
+              + bx)[..., None] * ny + np.arange(ny)
+    rows = np.bincount(
+        target.ravel(),
+        weights=np.broadcast_to(p[:, None], target.shape).ravel(),
+        minlength=count * ax * nx * ny).reshape(count, ax, 1, nx, ny)
+    target = np.arange(count * ax * ay * nx).reshape(
+        count, ax, ay, nx, 1) * ny + by[:, None, :]
+    return np.bincount(
+        target.ravel(), weights=np.broadcast_to(rows, target.shape).ravel(),
+        minlength=count * ax * ay * nx * ny).reshape(count, ax, ay, nx, ny)
 
 
 def _monotone(vecs: np.ndarray, block_of: np.ndarray, pairs: np.ndarray):
@@ -593,147 +612,165 @@ def _cov(merged: np.ndarray, wx: np.ndarray, wy: np.ndarray,
 
 
 class _Kept(NamedTuple):
-    """Candidates of one kind and orientation across a stack of faces."""
+    """The candidates under one X order across a stack of faces of B pmfs.
 
-    hit: np.ndarray       # (Ax, Ay, T) kept
-    flip: np.ndarray      # (Ax, Ay, T) kept as the global flip of the pair
-    tested: np.ndarray    # (Ax, Ay, T) tests made; a tested flip is one more
-    cov: np.ndarray       # (Ax, Ay, T) covariance
-    f: np.ndarray         # (Ax, Ay, T, nx) block functions, padded
-    g: np.ndarray         # (Ax, Ay, T, ny)
+    A face has 2T + 1 candidate cells: cell c < T holds the svd pair of
+    singular index c + 2 in positive orientation, cell T + c that pair in
+    negative orientation (g negated), and cell 2T the structural pair.
+    Cell 0 is the literal candidate set of ``paper_faithful``.
+    """
+
+    hit: np.ndarray       # (B, Ax, Ay, 2T + 1) kept
+    flip: np.ndarray      # (B, Ax, Ay, 2T + 1) kept as the global flip
+    tested: np.ndarray    # (B, Ax, Ay, 2T + 1) tests; a tested flip is one more
+    cov: np.ndarray       # (B, Ax, Ay, 2T + 1) covariance
+    f: np.ndarray         # (B, Ax, Ay, T + 1, nx) block functions, padded;
+    g: np.ndarray         # (B, Ax, Ay, T + 1, ny) row T is the structural one
     tx: _Tables
     ty: _Tables
-    ties: np.ndarray      # (Ax, Ay) tied residual gaps per face
-    kind: str
-    orientation: int
+    ties: np.ndarray      # (B, Ax, Ay) tied residual gaps per face
 
-    def candidate(self, a: int, b: int, t: int) -> tuple[Candidate, bool]:
-        """The candidate in cell (a, b, t), lifted to the support
+    def candidate(self, i: int, a: int, b: int,
+                  c: int) -> tuple[Candidate, bool]:
+        """The candidate in cell (i, a, b, c), lifted to the support
         alphabets, and whether its face's residual spectrum has a tie."""
         bx, by = self.tx.parts[a], self.ty.parts[b]
-        s = -1.0 if self.flip[a, b, t] else 1.0
+        width = self.f.shape[-2] - 1  # T
+        svd = c < 2 * width
+        orientation = -1 if width <= c < 2 * width else 1
+        row = c % width if svd else width
+        s = -1.0 if self.flip[i, a, b, c] else 1.0
         pair = ScoredPair(
-            f=s * self.f[a, b, t][np.asarray(bx.block_of)],
-            g=s * self.orientation * self.g[a, b, t][np.asarray(by.block_of)])
+            f=s * self.f[i, a, b, row][np.asarray(bx.block_of)],
+            g=s * orientation * self.g[i, a, b, row][np.asarray(by.block_of)])
         return Candidate(
-            partition_x=bx, partition_y=by, kind=self.kind,
-            index=int(t) + 2 if self.kind == "svd" else 0,
-            orientation=self.orientation, pair=pair,
-            cov=float(self.cov[a, b, t]),
-        ), bool(self.ties[a, b])
+            partition_x=bx, partition_y=by,
+            kind="svd" if svd else "structural",
+            index=int(row) + 2 if svd else 0,
+            orientation=orientation, pair=pair,
+            cov=float(self.cov[i, a, b, c]),
+        ), bool(self.ties[i, a, b])
 
 
-def _solve_stack(js: JointPmf, tx: _Tables, ty: _Tables, x_reversed: bool):
-    """Every face of one stack at once, whatever its shapes (kx, ky).
+def _solve_stack(p: np.ndarray, tx: _Tables, ty: _Tables, x_reversed: bool):
+    """Every face of one stack for each pmf of ``p`` (B, nx, ny) at once,
+    whatever its shapes (kx, ky).
 
     The merge, the spectral pass (:func:`padded_residual_spectra`) and the
     feasibility, monotone, structural and covariance checks run once on
-    arrays padded to the alphabet sizes; the padded entries carry no mass
-    and their singular indices are masked.  Per shape only the
-    renormalization total of its merged pmfs is taken and, inside the
-    spectral pass, one SVD.
+    arrays padded to the alphabet sizes, with a leading pmf axis; the
+    padded entries carry no mass and their singular indices are masked.
+    Per shape only the renormalization total of its merged pmfs is taken
+    and, inside the spectral pass, one SVD.
 
     Reversing X keeps the faces, the merged pmfs, the spectra and every Y
     side check, so with ``x_reversed`` only the X side's structural row,
     monotone checks and covariances are taken once more, along
     ``tx.flipped``, exactly as a solve of the reversed order takes them.
 
-    Returns ``(kept, degenerate)``: ``kept`` holds, for the order and then
-    for its X reversal when asked, the :class:`_Kept` of the svd
-    candidates in each orientation, then of the structural ones.
+    Returns ``(kept, degenerate)``: ``kept`` holds the :class:`_Kept` of
+    the order and then, when asked, of its X reversal; ``degenerate`` (B,)
+    counts each pmf's tied residual gaps.
     """
-    merged = _merge(js.p, tx.block_of, ty.block_of)
-    ax, ay, nx, ny = merged.shape
-    totals = np.empty((ax, ay, 1, 1))
+    merged = _merge(p, tx.block_of, ty.block_of)
+    totals = np.empty(merged.shape[:3] + (1, 1))
     for kx, xa, xb in tx.runs:
         for ky, ya, yb in ty.runs:
             # the total of a contiguous (kx, ky) block: summed over the
             # padded layout, it would round differently
-            totals[xa:xb, ya:yb] = np.ascontiguousarray(
-                merged[xa:xb, ya:yb, :kx, :ky]).sum(axis=(-2, -1),
-                                                    keepdims=True)
+            totals[:, xa:xb, ya:yb] = np.ascontiguousarray(
+                merged[:, xa:xb, ya:yb, :kx, :ky]).sum(axis=(-2, -1),
+                                                       keepdims=True)
     merged /= totals
     values, real, left, right, wx, wy = padded_residual_spectra(
         merged, tx.runs, ty.runs)
     # only neighbours within a face's spectrum can tie
     ties = ((np.abs(np.diff(values, axis=-1)) <= TIE_TOL)
             & real[..., 1:]).sum(axis=-1)
-    # (Ax, Ay, n, 1) marginals, zero past each face's blocks
+    # (B, Ax, Ay, n, 1) marginals, zero past each face's blocks
     wx, wy = wx[..., None], wy[..., None]
-    # (Ax, Ay, T, n): the block functions of singular index t + 2; only
+    # (B, Ax, Ay, T, n): the block functions of singular index t + 2; only
     # the padded blocks have zero mass, and their entries stay zero
     f = left / np.swapaxes(np.sqrt(np.where(wx > 0.0, wx, 1.0)), -1, -2)
     g = right / np.swapaxes(np.sqrt(np.where(wy > 0.0, wy, 1.0)), -1, -2)
     feasible = real & _standardized(wx, f) & _standardized(wy, g)
     # the structural fallback rides along as one more row
     gn, ok_g = _normalize(wy, ty.scores[None, :, None])
-    g = np.concatenate([g, gn], axis=2)
-    g_tests = _monotone(g, ty.block_of[None, :, None], ty.pairs)
+    g = np.concatenate([g, gn], axis=-2)
+    up, down = _monotone(g, ty.block_of[None, :, None], ty.pairs)
     svd, last = slice(0, -1), slice(-1, None)
+    # the candidate cells of a face (see _Kept): negating g swaps its tests
+    up_g = np.concatenate([up[..., svd], down[..., svd], up[..., last]],
+                          axis=-1)
+    down_g = np.concatenate([down[..., svd], up[..., svd], down[..., last]],
+                            axis=-1)
+    has_flip = np.arange(up_g.shape[-1]) < up_g.shape[-1] - 1
 
-    def kept(tx: _Tables) -> list[_Kept]:
+    def kept(tx: _Tables) -> _Kept:
         """The candidates under the X order that ``tx`` tabulates."""
         fn, ok_f = _normalize(wx, tx.scores[:, None, None])
-        fx = np.concatenate([f, fn], axis=2)
+        fx = np.concatenate([f, fn], axis=-2)
         up_f, down_f = _monotone(fx, tx.block_of[:, None, None], tx.pairs)
-        up_g, down_g = g_tests
         cov = _cov(merged, wx, wy, fx, g)
-        out = []
-        for orientation in (1, -1):
-            # the pair is tested first, then its global flip, which has the
-            # same covariance
-            first = feasible & up_f[..., svd] & up_g[..., svd]
-            flip = feasible & ~first
-            out.append(_Kept(
-                first | (flip & down_f[..., svd] & down_g[..., svd]), flip,
-                feasible.astype(np.intp) + flip, orientation * cov[..., svd],
-                f, g[..., svd, :], tx, ty, ties, "svd", orientation))
-            up_g, down_g = down_g, up_g
-        ok = ok_f & ok_g
-        out.append(_Kept(ok & up_f[..., last] & up_g[..., last],
-                         np.zeros_like(ok), ok, cov[..., last], fn,
-                         g[..., last, :], tx, ty, ties, "structural", 1))
-        return out
+        tried = np.concatenate([feasible, feasible, ok_f & ok_g], axis=-1)
+        up_f = np.concatenate([up_f[..., svd], up_f], axis=-1)
+        down_f = np.concatenate([down_f[..., svd], down_f], axis=-1)
+        # an svd pair is tested first, then its global flip, which has the
+        # same covariance; the structural pair has no flip
+        first = tried & up_f & up_g
+        flip = tried & ~first & has_flip
+        return _Kept(first | (flip & down_f & down_g), flip,
+                     tried.astype(np.intp) + flip,
+                     np.concatenate([cov[..., svd], -cov[..., svd],
+                                     cov[..., last]], axis=-1),
+                     fx, g, tx, ty, ties)
 
     orders = [tx, tx.flipped] if x_reversed else [tx]
-    return [kept(t) for t in orders], int(ties.sum())
+    return [kept(t) for t in orders], ties.sum(axis=(1, 2))
 
 
 class _Reduction:
-    """One order's running reduction over the stacks: each stack is
-    reduced before the next is solved, and only the candidates within
-    ``TIE_WINDOW`` of the best covariance so far are kept."""
+    """One order's running reduction over the stacks, for each of B pmfs:
+    each stack is reduced before the next is solved, and only the
+    candidates within ``TIE_WINDOW`` of a pmf's best covariance so far are
+    kept."""
 
-    def __init__(self, mode: str):
+    def __init__(self, mode: str, count: int):
         self.mode = mode
-        self.best_cov = -math.inf
-        self.near: list[tuple[Candidate, bool]] = []
-        self.checked = self.n_kept = 0
+        self.best_cov = np.full(count, -math.inf)
+        self.near: list[list[tuple[Candidate, bool]]] = [
+            [] for _ in range(count)]
+        self.checked = np.zeros(count, dtype=np.intp)
+        self.n_kept = np.zeros(count, dtype=np.intp)
 
-    def add(self, kept: list[_Kept]) -> None:
+    def add(self, pmfs: slice, k: _Kept) -> None:
+        """Reduce a stack of the pmfs ``pmfs``, along its leading axis."""
         if self.mode == "paper_faithful":
             # the literal set: the second singular pair, positive
             # orientation; the other fields are read only where hit holds
-            kept = [k._replace(hit=k.hit[..., :1], tested=k.tested[..., :1],
-                               cov=k.cov[..., :1])
-                    for k in kept if k.kind == "svd" and k.orientation > 0]
-        for k in kept:
-            self.checked += int(k.tested.sum())
-            if k.hit.any():
-                self.n_kept += np.count_nonzero(k.hit)
-                self.best_cov = max(self.best_cov, float(k.cov[k.hit].max()))
-        floor = self.best_cov - TIE_WINDOW
-        self.near = [c for c in self.near if c[0].cov >= floor]
-        self.near += [k.candidate(*cell) for k in kept for cell in zip(
-            *np.nonzero(k.hit & (k.cov >= floor)))]
+            k = k._replace(hit=k.hit[..., :1], tested=k.tested[..., :1],
+                           cov=k.cov[..., :1])
+        cells = (1, 2, 3)
+        self.checked[pmfs] += k.tested.sum(axis=cells)
+        self.n_kept[pmfs] += k.hit.sum(axis=cells)
+        best = np.maximum(self.best_cov[pmfs],
+                          np.where(k.hit, k.cov, -math.inf).max(axis=cells))
+        self.best_cov[pmfs] = best
+        floor = best - TIE_WINDOW
+        for near, least in zip(self.near[pmfs], floor.tolist()):
+            if near:
+                near[:] = [c for c in near if c[0].cov >= least]
+        for i, *cell in zip(*np.nonzero(
+                k.hit & (k.cov >= floor[:, None, None, None]))):
+            self.near[pmfs.start + i].append(k.candidate(i, *cell))
 
-    def report(self, measure: str, js: JointPmf, px: Poset, py: Poset,
-               keep_x, keep_y, diagnostics: dict,
+    def report(self, i: int, measure: str, js: JointPmf, px: Poset,
+               py: Poset, keep_x, keep_y, diagnostics: dict,
                start: float) -> CorrelationReport:
-        """The report of the best candidate under ``px`` and ``py``, its
-        witness extended to their zero-mass symbols; ``diagnostics`` is
-        completed in place."""
-        if not self.n_kept:
+        """The report of pmf ``i``'s best candidate under ``px`` and
+        ``py``, its witness extended to their zero-mass symbols;
+        ``diagnostics`` is completed in place."""
+        if not self.n_kept[i]:
             diagnostics["no_witness"] = True
             diagnostics["explanation"] = (
                 "no singular-pair candidate was monotone on any merge "
@@ -745,8 +782,8 @@ class _Reduction:
             return CorrelationReport(measure=measure, value=float("nan"),
                                      witness=None, diagnostics=diagnostics)
 
-        best, tied = min(self.near, key=lambda c: c[0].sort_key())
-        diagnostics["tie_candidates"] = len(self.near)
+        best, tied = min(self.near[i], key=lambda c: c[0].sort_key())
+        diagnostics["tie_candidates"] = len(self.near[i])
         # the report's value is the winner's covariance as pair_stats
         # gives it
         value = _clip_value(pair_stats(js, best.pair).cov)
@@ -803,9 +840,10 @@ def cmc_exact(j: JointPmf, px: Poset, py: Poset,
     pair, singular index, orientation), which makes the report
     independent of the order in which faces are evaluated.
     Raises :class:`EnumerationTooLarge` when the instance has more than
-    ``FACE_LIMIT`` faces, before any merge or spectral work.
+    ``FACE_LIMIT`` faces, before any merge or spectral work.  This is the
+    one-pmf case of :func:`cmc_many`.
     """
-    return _solve(j, px, py, opts, x_reversed=False)[0]
+    return cmc_many([j], px, py, opts)[0]
 
 
 def cmc_with_x_reversed(
@@ -813,40 +851,86 @@ def cmc_with_x_reversed(
 ) -> tuple[CorrelationReport, CorrelationReport]:
     """:func:`cmc_exact` and :func:`cmc_x_reversed` of one instance, from
     one pass over the faces; each report is the one its function gives."""
-    return tuple(_solve(j, px, py, opts, x_reversed=True))
+    return cmc_many([j], px, py, opts, x_reversed=True)[0]
 
 
-def _solve(j: JointPmf, px: Poset, py: Poset, opts: CmcOptions,
-           x_reversed: bool) -> list[CorrelationReport]:
-    """The report of ``cmc_exact(j, px, py, opts)`` and, with
-    ``x_reversed``, that of ``cmc_x_reversed`` after it.
+def cmc_many(js: Sequence[JointPmf], px: Poset, py: Poset,
+             opts: CmcOptions = CmcOptions(),
+             x_reversed: bool = False) -> list:
+    """The report :func:`cmc_exact` gives for each pmf of ``js`` under
+    ``px`` and ``py``, in input order; with ``x_reversed``, the pair of
+    reports :func:`cmc_with_x_reversed` gives.
 
-    ``reverse(px)`` has the faces of ``px``: connected blocks and an
-    acyclic quotient are both kept by reversal.  So the two orders share
-    the merged pmfs, their SVDs and the Y side's checks, and each stack is
-    solved once for both (see :func:`_solve_stack`).
+    Each pmf is stripped of its zero-mass symbols, and the pmfs whose
+    stripped orders agree are solved as one group: their faces in shared
+    stacks with a leading pmf axis (see :func:`_solve_stack`), and with
+    ``x_reversed`` each stack once for both orders, since ``reverse(px)``
+    has the faces of ``px``.  Each pmf keeps its own reduction and
+    tie-break, so each report is bit for bit that of a call on its pmf
+    alone.  The error raised is the one the first failing pmf in input
+    order raises alone; an error of a group's shared faces (such as
+    :class:`EnumerationTooLarge`) is its first pmf's.
     """
     start = time.perf_counter()
-    js, pxs, pys, keep_x, keep_y = strip_zero_support(j, px, py)
-    side_x, side_y = _sides(pxs, pys, x_reversed)
-    reductions = [_Reduction(opts.mode) for _ in range(1 + x_reversed)]
-    degenerate = 0
-    for tx, ty in _stacks(side_x.table, side_y.table):
-        kept, d = _solve_stack(js, tx, ty, x_reversed)
-        degenerate += d
-        for reduction, k in zip(reductions, kept):
-            reduction.add(k)
     orders = [("cmc", px)]
     if x_reversed:
         orders.append(("cmc_x_reversed", reverse(px)))
-    return [r.report(measure, js, order, py, keep_x, keep_y, {
-        "mode": opts.mode,
-        "partitions_enumerated": side_x.faces * side_y.faces,
-        "faces_solved": len(side_x.table.parts) * len(side_y.table.parts),
-        "candidates_checked": int(r.checked),
-        "candidates_kept": int(r.n_kept),
-        "degenerate_spectra": degenerate,
-    }, start) for r, (measure, order) in zip(reductions, orders)]
+    out: list = [None] * len(js)
+    failed: dict[int, CmcorrError] = {}
+    groups: dict[tuple, list] = {}
+    for i, j in enumerate(js):
+        try:
+            stripped = strip_zero_support(j, px, py)
+        except CmcorrError as exc:
+            failed[i] = exc
+            break  # no later pmf can fail first
+        _, pxs, pys, _, _ = stripped
+        groups.setdefault((pxs.size, pxs.strict_pairs, pys.size,
+                           pys.strict_pairs), []).append((i, stripped))
+    for members in groups.values():
+        try:
+            _solve_group(members, orders, py, opts, start, out, failed)
+        except CmcorrError as exc:
+            failed[members[0][0]] = exc
+    if failed:
+        raise failed[min(failed)]
+    return out
+
+
+def _solve_group(members: list, orders: list, py: Poset, opts: CmcOptions,
+                 start: float, out: list, failed: dict) -> None:
+    """Solve the pmfs ``members``, ``(index, strip_zero_support result)``
+    pairs that share their stripped orders, under each of ``orders``
+    (``(measure, X order)`` pairs), and put each pmf's report, or the
+    pair of them, into ``out`` at its index, or its error into
+    ``failed``."""
+    _, pxs, pys, _, _ = members[0][1]
+    x_reversed = len(orders) > 1
+    side_x, side_y = _sides(pxs, pys, x_reversed)
+    p = np.array([stripped[0].p for _, stripped in members])
+    reductions = [_Reduction(opts.mode, len(members)) for _ in orders]
+    degenerate = np.zeros(len(members), dtype=np.intp)
+    for pmfs, tx, ty in _stacks(len(members), side_x.table, side_y.table):
+        kept, d = _solve_stack(p[pmfs], tx, ty, x_reversed)
+        degenerate[pmfs] += d
+        for reduction, k in zip(reductions, kept):
+            reduction.add(pmfs, k)
+    for b, (i, (js, _, _, keep_x, keep_y)) in enumerate(members):
+        try:
+            reports = tuple(r.report(b, measure, js, order, py, keep_x,
+                                     keep_y, {
+                "mode": opts.mode,
+                "partitions_enumerated": side_x.faces * side_y.faces,
+                "faces_solved": len(side_x.table.parts)
+                * len(side_y.table.parts),
+                "candidates_checked": int(r.checked[b]),
+                "candidates_kept": int(r.n_kept[b]),
+                "degenerate_spectra": int(degenerate[b]),
+            }, start) for r, (measure, order) in zip(reductions, orders))
+        except CmcorrError as exc:
+            failed[i] = exc
+        else:
+            out[i] = reports if x_reversed else reports[0]
 
 
 def cmc_plus(j: JointPmf, px: Poset, py: Poset,

@@ -3,6 +3,12 @@
 Each suite draws deterministic random instances, checks one inequality or
 identity at a stated tolerance, and reports the worst violation together
 with the instance that produced it, so failures replay in isolation.
+
+The instances of a suite are drawn first, and the CMC of all instances over
+one pair of orders comes from one :func:`engine.cmc_many` call, which
+solves them in shared stacks.  Each report is bit for bit that of a solve
+of its instance alone, so a suite reports what solving one trial at a time
+reports.
 """
 
 from __future__ import annotations
@@ -18,8 +24,7 @@ from .dist import JointPmf, joint_pmf, marginal_x, marginal_y, product_pmf
 from .engine import (
     FACE_LIMIT,
     cmc_exact,
-    cmc_plus,
-    cmc_with_x_reversed,
+    cmc_many,
     default_mgf_grid,
     mgf_bound_sup,
 )
@@ -108,24 +113,49 @@ def _run_suite(suite: str, seed: int | None, tolerance: float,
     )
 
 
+def _plus(report) -> float:
+    """A CMC report's value clipped at zero, as ``engine.cmc_plus`` gives
+    it; the suites solve in extended mode, which always has a value."""
+    return max(0.0, report.value)
+
+
 def _seeded_suite(suite: str, seed: int, trials: int, tolerance: float,
-                  trial) -> VerifyReport:
-    """Run ``trial(j, px, py) -> (violation, extra)`` on ``trials`` seeded
-    instances of 2 to 4 symbols per side, both sides total orders."""
+                  trial, x_reversed: bool = False) -> VerifyReport:
+    """Run ``trial(j, cmc) -> (violation, extra)`` on ``trials`` seeded
+    instances of 2 to 4 symbols per side, both sides total orders, where
+    ``cmc`` is the ``cmc_exact`` report of ``j`` or, with ``x_reversed``,
+    the pair ``cmc_with_x_reversed`` gives.
+
+    Every instance is drawn first, trial ``t`` from seed ``seed + t``;
+    the instances are grouped by shape (at most 9 groups), each group
+    solved by one ``cmc_many`` call, and the violations folded in trial
+    order.
+    """
+    shapes = np.random.default_rng(seed ^ 0x5EED).integers(
+        2, 5, size=(trials, 2))
+    instances = [random_instances(seed + t, 1, shape)[0]
+                 for t, shape in enumerate(shapes.tolist())]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for t, j in enumerate(instances):
+        groups.setdefault(j.shape, []).append(t)
+    solved: list = [None] * trials
+    for members in groups.values():
+        group = [instances[t] for t in members]
+        for t, cmc in zip(members, cmc_many(group, *_total_orders(group[0]),
+                                            x_reversed=x_reversed)):
+            solved[t] = cmc
+
     def gen():
-        shapes = np.random.default_rng(seed ^ 0x5EED).integers(
-            2, 5, size=(trials, 2))
-        for t, shape in enumerate(shapes.tolist()):
-            j = random_instances(seed + t, 1, shape)[0]
-            violation, extra = trial(j, *_total_orders(j))
+        for j, cmc in zip(instances, solved):
+            violation, extra = trial(j, cmc)
             yield violation, _serialize_instance(j), extra
     return _run_suite(suite, seed, tolerance, gen())
 
 
 def verify_sandwich(seed: int = 7, trials: int = 100) -> VerifyReport:
     """pearson <= cmc <= maximal correlation on total-order instances."""
-    def trial(j, px, py):
-        mid = cmc_exact(j, px, py).value
+    def trial(j, cmc):
+        mid = cmc.value
         return max(pearson(j) - mid,
                    mid - maximal_correlation(j).value), {}
     return _seeded_suite("sandwich", seed, trials, 1e-8, trial)
@@ -133,8 +163,8 @@ def verify_sandwich(seed: int = 7, trials: int = 100) -> VerifyReport:
 
 def verify_rank_dominance(seed: int = 11, trials: int = 100) -> VerifyReport:
     """Kendall tau-b and Spearman never exceed the clipped CMC."""
-    def trial(j, px, py):
-        plus = cmc_plus(j, px, py)
+    def trial(j, cmc):
+        plus = _plus(cmc)
         return max(kendall_tau_b(j) - plus, spearman(j) - plus), {}
     return _seeded_suite("rank-dominance", seed, trials, 1e-8, trial)
 
@@ -144,23 +174,26 @@ def verify_tensorization(seed: int = 42, trials: int = 50) -> VerifyReport:
 
     Also checks the one-sided failure of unclipped tensorization on the
     discordant uniform binary factor: the self-product value is about 0,
-    far above the factor value of -1.
+    far above the factor value of -1.  Every factor is a 2x2 pmf over two
+    2-chains, so all 2 * ``trials`` factors are solved in one call and all
+    products, over the product of those chains, in another.
     """
+    # Example 2: a uniform binary pair with Y = X, Y's order reversed
+    j = joint_pmf([[0.5, 0.0], [0.0, 0.5]],
+                  x_values=(0, 1), y_values=(0, 1))
+    px, py = _total_orders(j)
+    factors = [random_instances(seed + k, 1, (2, 2))[0]
+               for k in range(2 * trials)]
+    plus = [_plus(r) for r in cmc_many(factors, px, py)]
+    products = cmc_many([product_pmf(j1, j2) for j1, j2 in
+                         zip(factors[::2], factors[1::2])],
+                        product(px, px), product(py, py))
+
     def gen():
-        for t in range(trials):
-            j1 = random_instances(seed + 2 * t, 1, (2, 2))[0]
-            j2 = random_instances(seed + 2 * t + 1, 1, (2, 2))[0]
-            px1, py1 = _total_orders(j1)
-            px2, py2 = _total_orders(j2)
-            factor = max(cmc_plus(j1, px1, py1),
-                         cmc_plus(j2, px2, py2))
-            prod = cmc_plus(product_pmf(j1, j2),
-                            product(px1, px2), product(py1, py2))
-            yield abs(prod - factor), _serialize_instance(j1), {}
-        # Example 2: a uniform binary pair with Y = X, Y's order reversed
-        j = joint_pmf([[0.5, 0.0], [0.0, 0.5]],
-                      x_values=(0, 1), y_values=(0, 1))
-        px, py = _total_orders(j)
+        for t, prod in enumerate(products):
+            factor = max(plus[2 * t], plus[2 * t + 1])
+            yield (abs(_plus(prod) - factor),
+                   _serialize_instance(factors[2 * t]), {})
         value = cmc_exact(product_pmf(j, j), product(px, px),
                           product(reverse(py), reverse(py))).value
         yield -1e-9 - value, _serialize_instance(j), {
@@ -202,27 +235,36 @@ def verify_fkg(n: int, bias_list) -> VerifyReport:
             "exact FKG verification supports n in {1, 2}; the face count "
             f"at n >= 3 exceeds the engine's limit of {FACE_LIMIT} faces"
         )
-    def gen():
-        for biases in bias_list:
+    vectors, pmfs, error = [], [], None
+    for biases in bias_list:
+        try:
             biases = tuple(float(b) for b in biases)
             if len(biases) != n:
                 raise SizeTooLarge(f"bias vector {biases} is not length {n}")
-            j = _independent_bits_pmf(biases)
-            px = _hypercube_order(n, j.x_labels)
-            py = reverse(_hypercube_order(n, j.y_labels))
-            value = cmc_exact(j, px, py).value
-            yield value, _serialize_instance(j), {"biases": biases}
-    return _run_suite("fkg", None, 1e-9, gen())
+            pmfs.append(_independent_bits_pmf(biases))
+        except (TypeError, ValueError) as exc:
+            error = exc  # raised after the pmfs before it are solved
+            break
+        vectors.append(biases)
+    # every pmf has the labels of this one, so one pair of orders serves all
+    cube = _independent_bits_pmf((0.5,) * n)
+    reports = cmc_many(pmfs, _hypercube_order(n, cube.x_labels),
+                       reverse(_hypercube_order(n, cube.y_labels)))
+    if error is not None:
+        raise error
+    return _run_suite("fkg", None, 1e-9, (
+        (r.value, _serialize_instance(j), {"biases": biases})
+        for r, j, biases in zip(reports, pmfs, vectors)))
 
 
 def verify_mgf(seed: int = 3, trials: int = 50,
                grid=None) -> VerifyReport:
     """The moment-generating-function bound never exceeds its target."""
     grid = default_mgf_grid() if grid is None else list(grid)
-    def trial(j, px, py):
-        target = max(r.value for r in cmc_with_x_reversed(j, px, py))
+    def trial(j, cmc):
+        target = max(r.value for r in cmc)
         return mgf_bound_sup(j, grid) - target, {}
-    return _seeded_suite("mgf", seed, trials, 1e-7, trial)
+    return _seeded_suite("mgf", seed, trials, 1e-7, trial, x_reversed=True)
 
 
 def verify_independence(seed: int = 5, trials: int = 100) -> VerifyReport:
@@ -232,13 +274,14 @@ def verify_independence(seed: int = 5, trials: int = 100) -> VerifyReport:
     distance) is logged in the details, not asserted, since no quantitative
     modulus is available.
     """
-    def trial(j, px, py):
+    def trial(j, cmc):
         tv = 0.5 * float(np.abs(
             j.p - np.outer(marginal_x(j), marginal_y(j))).sum())
-        both = max(r.value for r in cmc_with_x_reversed(j, px, py))
+        both = max(r.value for r in cmc)
         violation = (1e-6 - both) if tv > 0.01 else -math.inf
         return violation, {"near_zero_cmc_tv": tv} if both <= 1e-9 else {}
-    return _seeded_suite("independence", seed, trials, 0.0, trial)
+    return _seeded_suite("independence", seed, trials, 0.0, trial,
+                         x_reversed=True)
 
 
 def example3_min_disagreement(n: int) -> float:

@@ -11,6 +11,8 @@ numerical SVD (see :func:`residual_singular_pairs`).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .dist import (
@@ -85,53 +87,56 @@ def _lapack(arr: np.ndarray):
 
 
 def padded_residual_spectra(p: np.ndarray, runs_x, runs_y):
-    """:func:`residual_singular_pairs` of every face in a padded stack.
+    """:func:`residual_singular_pairs` of every face in padded stacks.
 
-    ``p[a, b]`` (Ax, Ay, nx, ny) holds a normalized pmf in its leading
-    (kx, ky) block and zeros past it.  ``runs_x`` lists ``(kx, start,
-    stop)`` in order, covering ``range(Ax)``: the faces ``a`` in
-    ``[start, stop)`` have kx X blocks; ``runs_y`` does the same for ``b``
-    and ky.  The marginals, the deflated residual, the guards and the sign
-    fixing run once on the padded stack; only the SVD runs per shape
-    (kx, ky), on that shape's contiguous blocks, so a face gets the bits
-    it would get alone.
+    ``p[..., a, b]`` (..., Ax, Ay, nx, ny) holds a normalized pmf in its
+    leading (kx, ky) block and zeros past it; the leading axes, if any,
+    index stacks of the same faces, such as the faces of several pmfs.
+    ``runs_x`` lists ``(kx, start, stop)`` in order, covering
+    ``range(Ax)``: the faces ``a`` in ``[start, stop)`` have kx X blocks;
+    ``runs_y`` does the same for ``b`` and ky.  The marginals, the deflated
+    residual, the guards and the sign fixing run once on the padded
+    stacks; only the SVD runs per shape (kx, ky), on that shape's
+    contiguous blocks of every stack, so a face gets the bits it would get
+    alone.
 
-    Returns ``(values, real, left, right, px, py)`` of shapes (Ax, Ay, r),
-    (Ax, Ay, r), (Ax, Ay, r, nx), (Ax, Ay, r, ny), (Ax, Ay, nx) and
-    (Ax, Ay, ny), where r is the longest residual spectrum
-    min(kx, ky) - 1 of the stack.  ``real`` marks the indices within each
-    face's own spectrum; every other entry is zero.  ``px`` and ``py`` are
-    the marginals the residual was deflated with, zero past each face's
-    blocks.
+    Returns ``(values, real, left, right, px, py)`` of shapes
+    (..., Ax, Ay, r), (..., Ax, Ay, r), (..., Ax, Ay, r, nx),
+    (..., Ax, Ay, r, ny), (..., Ax, Ay, nx) and (..., Ax, Ay, ny), where r
+    is the longest residual spectrum min(kx, ky) - 1 of the stack.
+    ``real`` marks the indices within each face's own spectrum; every
+    other entry is zero.  ``px`` and ``py`` are the marginals the residual
+    was deflated with, zero past each face's blocks.
     """
-    ax, ay, nx, ny = p.shape
+    *lead, ax, ay, nx, ny = p.shape
     # a marginal sums only a face's own k entries: summed over the padded
     # layout, it would round differently from 8 entries on
-    px = np.concatenate([p[:, ya:yb, :, :ky].sum(axis=-1)
-                         for ky, ya, yb in runs_y], axis=1)
-    py = np.concatenate([p[xa:xb, :, :kx].sum(axis=-2)
-                         for kx, xa, xb in runs_x])
-    real_x = ay * sum((b - a) * k for k, a, b in runs_x)
-    real_y = ax * sum((b - a) * k for k, a, b in runs_y)
+    px = np.concatenate([p[..., ya:yb, :, :ky].sum(axis=-1)
+                         for ky, ya, yb in runs_y], axis=-2)
+    py = np.concatenate([p[..., xa:xb, :, :kx, :].sum(axis=-2)
+                         for kx, xa, xb in runs_x], axis=-3)
+    stacks = math.prod(lead)
+    real_x = stacks * ay * sum((b - a) * k for k, a, b in runs_x)
+    real_y = stacks * ax * sum((b - a) * k for k, a, b in runs_y)
     top = np.sqrt(px)[..., :, None] * np.sqrt(py)[..., None, :]
     resid = _normalized(p, px, py, px.size - real_x, py.size - real_y) - top
     max_x = max(k for k, _, _ in runs_x)
     max_y = max(k for k, _, _ in runs_y)
     _check(resid, max_x * max_y)
     width = min(max_x, max_y) - 1
-    values = np.zeros((ax, ay, width))
-    real = np.zeros((ax, ay, width), dtype=bool)
-    left = np.zeros((ax, ay, width, nx))
-    right = np.zeros((ax, ay, width, ny))
+    values = np.zeros((*lead, ax, ay, width))
+    real = np.zeros((*lead, ax, ay, width), dtype=bool)
+    left = np.zeros((*lead, ax, ay, width, nx))
+    right = np.zeros((*lead, ax, ay, width, ny))
     for kx, xa, xb in runs_x:
         for ky, ya, yb in runs_y:
             u, s, vt = _lapack(np.ascontiguousarray(
-                resid[xa:xb, ya:yb, :kx, :ky]))
+                resid[..., xa:xb, ya:yb, :kx, :ky]))
             r = min(kx, ky) - 1
-            values[xa:xb, ya:yb, :r] = s[..., :r]
-            real[xa:xb, ya:yb, :r] = True
-            left[xa:xb, ya:yb, :r, :kx] = np.swapaxes(u[..., :r], -1, -2)
-            right[xa:xb, ya:yb, :r, :ky] = vt[..., :r, :]
+            values[..., xa:xb, ya:yb, :r] = s[..., :r]
+            real[..., xa:xb, ya:yb, :r] = True
+            left[..., xa:xb, ya:yb, :r, :kx] = np.swapaxes(u[..., :r], -1, -2)
+            right[..., xa:xb, ya:yb, :r, :ky] = vt[..., :r, :]
     # trailing zeros never decide a sign, so the padding changes nothing
     _fix_signs(left, right)
     return values, real, left, right, px, py

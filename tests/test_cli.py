@@ -386,6 +386,28 @@ class TestVerify:
         assert (doc["suite"], doc["trials"], doc["max_violation"]) == \
             (report.suite, report.trials, report.max_violation)
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    @pytest.mark.parametrize("suite", ["sandwich", "rank-dominance",
+                                       "tensorization", "fkg", "mgf",
+                                       "independence"])
+    def test_trials_below_one_exit_one(self, tmp_path, monkeypatch, capsys,
+                                       suite, trials):
+        # no trial certifies nothing: refused, naming the flag, before the
+        # suite runs and before anything is written
+        import cmcorr.cli as cli_mod
+
+        def ran(*args, **kwargs):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli_mod.harness,
+                            "verify_" + suite.replace("-", "_"), ran)
+        out = tmp_path / "v.json"
+        assert main(["verify", suite, "--trials", trials,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: --trials must be at least 1, not {trials}\n"
+        assert not out.exists()
+
     def test_violation_exits_three(self, tmp_path, monkeypatch):
         import cmcorr.cli as cli_mod
         from cmcorr.harness import VerifyReport

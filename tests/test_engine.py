@@ -28,6 +28,7 @@ from cmcorr.engine import (
     Candidate,
     CmcOptions,
     cmc_exact,
+    cmc_many,
     cmc_plus,
     cmc_with_x_reversed,
     cmc_x_reversed,
@@ -38,10 +39,12 @@ from cmcorr.engine import (
 )
 from cmcorr.errors import (
     DegenerateDenominator,
+    DegenerateMarginal,
     EmptyInput,
     EnumerationTooLarge,
     InputError,
     MissingValues,
+    ShapeMismatch,
     SizeTooLarge,
     SOutOfRange,
 )
@@ -815,7 +818,8 @@ class TestOneSolveBothWays:
         j = random_pmf(rng, 10, 4)
         px, py = total_orders(j)
         side_x, side_y = engine._sides(px, py)
-        assert len(list(engine._stacks(side_x.table, side_y.table))) > 1
+        assert len(list(engine._stacks(1, side_x.table,
+                                       side_y.table))) > 1
         assert_one_solve_is_two(j, px, py)
 
     def test_forward_solve_builds_no_reversed_table(self, monkeypatch):
@@ -836,6 +840,168 @@ class TestOneSolveBothWays:
         assert len(engine._MEMO.entries) == 2
         assert engine._MEMO.held == sum(
             side.faces for side in engine._MEMO.entries.values())
+
+
+def assert_many_is_one_at_a_time(js, px, py):
+    """``cmc_many`` gives each pmf, in both modes and both ways, the report
+    bits of a call on that pmf alone."""
+    for mode in MODES:
+        opts = CmcOptions(mode=mode)
+        assert [report_bits(r) for r in cmc_many(js, px, py, opts)] == \
+            [report_bits(cmc_exact(j, px, py, opts)) for j in js]
+        both = cmc_many(js, px, py, opts, x_reversed=True)
+        assert [[report_bits(r) for r in pair] for pair in both] == \
+            [[report_bits(r) for r in cmc_with_x_reversed(j, px, py, opts)]
+             for j in js]
+
+
+def with_zero_mass(rng, j, rows: bool, cols: bool):
+    """``j`` with one random row and/or column emptied, renormalized."""
+    p = j.p.copy()
+    if rows:
+        p[rng.integers(p.shape[0])] = 0.0
+    if cols:
+        p[:, rng.integers(p.shape[1])] = 0.0
+    return joint_pmf(p / p.sum(), j.x_labels, j.y_labels)
+
+
+class TestManyPmfs:
+    """Many pmfs over one pair of orders in one call: each report is bit
+    for bit that of a call on its pmf alone, in input order, in both modes
+    and both ways: value, witness and every diagnostic but the runtime."""
+
+    def test_seeded_chains_with_zero_mass(self, monkeypatch):
+        # pmfs stripped to different orders share one call
+        rng = np.random.default_rng(2201)
+        for m in range(2, 5):
+            for n in range(2, 5):
+                if (m + n) % 2:  # a cold memo now and then
+                    monkeypatch.setattr(engine, "_MEMO", engine._SideMemo())
+                px = total_order([f"x{i}" for i in range(m)])
+                py = total_order([f"y{i}" for i in range(n)])
+                px = reverse(px) if n % 2 else px
+                py = reverse(py) if m == 3 else py
+                js = []
+                for t in range(8):
+                    kind = ("random", "independent", "tiny", "uniform")[t % 4]
+                    j = seeded_instance(rng, kind, px, py)[0]
+                    js.append(with_zero_mass(rng, j, m > 2 and t % 3 == 0,
+                                             n > 2 and t % 3 != 2))
+                keys = {tuple(q.size for q in strip_zero_support(j, px, py)[1:3])
+                        for j in js}
+                assert len(keys) == 1 + (m > 2) + (n > 2)
+                assert_many_is_one_at_a_time(js, px, py)
+
+    @pytest.mark.parametrize("x_order", ["vee", "diamond", "cube3"])
+    def test_posets(self, x_order):
+        labels3 = ["a", "b", "c"]
+        px = {"vee": poset_from_pairs(labels3, {(0, 1), (0, 2)}),
+              "diamond": reference_posets()["diamond"],
+              "cube3": hypercube(3)}[x_order]
+        rng = np.random.default_rng(2202)
+        for py in (total_order(["0", "1", "2"]),
+                   reverse(total_order(["0", "1"])),
+                   poset_from_pairs(labels3, {(0, 1), (0, 2)})):
+            js = [seeded_instance(rng, kind, px, py)[0] for kind in
+                  ("random", "independent", "tiny", "uniform", "random")]
+            js[-1] = with_zero_mass(rng, js[-1], True, False)
+            assert_many_is_one_at_a_time(js, px, py)
+
+    def test_literal_mode_without_witness_on_one_pmf(self):
+        # the diagonal is discordant under a reversed Y: the literal set
+        # certifies nothing on it, and everything on its neighbours
+        px = total_order(["0", "1"])
+        py = reverse(total_order(["0", "1"]))
+        js = [joint_pmf(p) for p in ([[0.1, 0.4], [0.4, 0.1]],
+                                     [[0.5, 0.0], [0.0, 0.5]],
+                                     [[0.2, 0.3], [0.35, 0.15]])]
+        reports = cmc_many(js, px, py, CmcOptions(mode="paper_faithful"))
+        assert [math.isnan(r.value) for r in reports] == [False, True, False]
+        assert reports[1].diagnostics["no_witness"]
+        assert_many_is_one_at_a_time(js, px, py)
+
+    def test_degenerate_spectra_per_pmf(self):
+        # the uniform diagonal ties on its unmerged face; a random pmf
+        # does not, and neither takes the other's count
+        rng = np.random.default_rng(2203)
+        j = joint_pmf(np.eye(3) / 3)
+        js = [random_pmf(rng, 3, 3), j, random_pmf(rng, 3, 3)]
+        px, py = total_orders(j)
+        counts = [r.diagnostics["degenerate_spectra"]
+                  for r in cmc_many(js, px, py)]
+        assert counts[1] > 0 and counts[0] == counts[2] == 0
+        assert_many_is_one_at_a_time(js, px, py)
+
+    @pytest.mark.parametrize("entries", [1, 2000])
+    def test_group_spans_many_stacks(self, monkeypatch, entries):
+        # one pmf's face per stack, or three pmfs' faces per stack: the
+        # running reductions give each pmf its whole-stack report
+        rng = np.random.default_rng(2204)
+        px = total_order([f"x{i}" for i in range(3)])
+        py = reverse(total_order([f"y{i}" for i in range(3)]))
+        js = [seeded_instance(rng, kind, px, py)[0] for kind in
+              ("random", "independent", "tiny", "uniform") * 3]
+        whole = [report_bits(r) for r in cmc_many(js, px, py)]
+        monkeypatch.setattr(engine, "_STACK_ENTRIES", entries)
+        side_x, side_y = engine._sides(px, py)
+        stacks = [(pmfs.indices(len(js)), len(tx.parts) * len(ty.parts))
+                  for pmfs, tx, ty in engine._stacks(len(js), side_x.table,
+                                                     side_y.table)]
+        widths = {len(range(*pmfs)) for pmfs, _ in stacks}
+        assert len(stacks) == (len(js) * 9 if entries == 1 else 4)
+        assert widths == ({1} if entries == 1 else {3})
+        assert sum(len(range(*pmfs)) * faces for pmfs, faces in stacks) == \
+            len(js) * 9
+        assert [report_bits(r) for r in cmc_many(js, px, py)] == whole
+        assert_many_is_one_at_a_time(js, px, py)
+
+    def test_error_of_the_first_failing_pmf(self):
+        rng = np.random.default_rng(2205)
+        px, py = total_order("abc"), total_order("xyz")
+        good = seeded_instance(rng, "random", px, py)[0]
+        one_row = joint_pmf([[0.2, 0.3, 0.5], [0, 0, 0], [0, 0, 0]])
+        small = joint_pmf([[0.5, 0.0], [0.0, 0.5]])
+        with pytest.raises(DegenerateMarginal):
+            cmc_many([good, one_row, small], px, py)
+        with pytest.raises(ShapeMismatch):
+            cmc_many([good, small, one_row], px, py, x_reversed=True)
+        # an error of a group's shared faces is its first pmf's: the full
+        # cubes have too many faces, a pmf stripped to smaller orders not
+        cube = hypercube(3)
+        full = joint_pmf(np.full((8, 8), 1 / 64))
+        p = np.zeros((8, 8))
+        p[:4, :4] = 1 / 16
+        stripped = joint_pmf(p)
+        p = np.zeros((8, 8))
+        p[0] = 1 / 8
+        one_row = joint_pmf(p)
+        assert not math.isnan(cmc_many([stripped], cube, cube)[0].value)
+        with pytest.raises(EnumerationTooLarge):
+            cmc_many([stripped, full, one_row], cube, cube)
+        with pytest.raises(DegenerateMarginal):
+            cmc_many([stripped, one_row, full], cube, cube)
+        assert cmc_many([], cube, cube) == []
+
+    def test_large_batch_memory_bounded(self):
+        # 3,000 pmfs of 9 faces each, in stacks of 462 pmfs: one stack of
+        # them all would hold 1.7 million numbers per array
+        rng = np.random.default_rng(2206)
+        px, py = total_order("abc"), total_order("xyz")
+        js = [joint_pmf(p) for p in rng.dirichlet(np.ones(9), 3000)
+              .reshape(-1, 3, 3)]
+        side_x, side_y = engine._sides(px, py)
+        assert len(list(engine._stacks(len(js), side_x.table,
+                                       side_y.table))) > 4
+        tracemalloc.start()
+        try:
+            reports = cmc_many(js, px, py)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6  # 7.6 MB; one stack of all would take 21 MB
+        for t in (0, 1499, 2999):
+            assert report_bits(reports[t]) == \
+                report_bits(cmc_exact(js[t], px, py))
 
 
 class TestStructuralProperties:
@@ -1087,16 +1253,17 @@ class TestStructuralProperties:
             for kx, xa, xb in runs_x:
                 for ky, ya, yb in runs_y:
                     shapes.add((kx, ky))
-                    block = np.ascontiguousarray(p[xa:xb, ya:yb, :kx, :ky])
+                    block = np.ascontiguousarray(
+                        p[..., xa:xb, ya:yb, :kx, :ky])
                     v, lv, rv = reference_residual_spectra(block)
                     r = v.shape[-1]
-                    values[xa:xb, ya:yb, :r] = v
-                    real[xa:xb, ya:yb, :r] = True
-                    left[xa:xb, ya:yb, :r, :kx] = lv
-                    right[xa:xb, ya:yb, :r, :ky] = rv
+                    values[..., xa:xb, ya:yb, :r] = v
+                    real[..., xa:xb, ya:yb, :r] = True
+                    left[..., xa:xb, ya:yb, :r, :kx] = lv
+                    right[..., xa:xb, ya:yb, :r, :ky] = rv
                     # the marginals are the face's own row and column sums
-                    px[xa:xb, ya:yb, :kx] = block.sum(axis=-1)
-                    py[xa:xb, ya:yb, :ky] = block.sum(axis=-2)
+                    px[..., xa:xb, ya:yb, :kx] = block.sum(axis=-1)
+                    py[..., xa:xb, ya:yb, :ky] = block.sum(axis=-2)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
             return got
 
@@ -1129,7 +1296,8 @@ class TestStructuralProperties:
             j = seeded_instance(rng, "random", px, py)[0]
             tx = engine._side_table(px, distinct_partitions(px))
             ty = engine._side_table(py, distinct_partitions(py))
-            merged = engine._merge(j.p, tx.block_of, ty.block_of)
+            merged = engine._merge(j.p[None], tx.block_of,
+                                   ty.block_of)[0]
             for a, bx in enumerate(tx.parts):
                 for b, by in enumerate(ty.parts):
                     ref = np.zeros((px.size, py.size))

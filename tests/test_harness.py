@@ -1,11 +1,31 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 import cmcorr.harness as harness
-from cmcorr.dist import JointPmf
-from cmcorr.errors import CapExceeded, InputError, SizeTooLarge
+from cmcorr.classic import kendall_tau_b, pearson, spearman
+from cmcorr.dist import (
+    JointPmf,
+    joint_pmf,
+    marginal_x,
+    marginal_y,
+    product_pmf,
+)
+from cmcorr.engine import (
+    cmc_exact,
+    cmc_plus,
+    cmc_with_x_reversed,
+    default_mgf_grid,
+    mgf_bound_sup,
+)
+from cmcorr.errors import (
+    CapExceeded,
+    DegenerateMarginal,
+    InputError,
+    SizeTooLarge,
+)
 from cmcorr.harness import (
     example3_min_disagreement,
     random_instances,
@@ -17,7 +37,8 @@ from cmcorr.harness import (
     verify_sandwich,
     verify_tensorization,
 )
-from cmcorr.order import product, total_order
+from cmcorr.maxcorr import maximal_correlation
+from cmcorr.order import product, reverse, total_order
 
 
 def validate(j):
@@ -188,3 +209,147 @@ class TestExample3:
         report = verify_example3()
         assert not report.passed
         assert report.max_violation == 1.0
+
+
+def reference_seeded_suite(suite, seed, trials, tolerance, trial):
+    """The suite loop that solves one trial at a time, each instance when
+    its trial comes: ``trial(j, px, py) -> (violation, extra)``."""
+    def gen():
+        shapes = np.random.default_rng(seed ^ 0x5EED).integers(
+            2, 5, size=(trials, 2))
+        for t, shape in enumerate(shapes.tolist()):
+            j = random_instances(seed + t, 1, shape)[0]
+            violation, extra = trial(j, *harness._total_orders(j))
+            yield violation, harness._serialize_instance(j), extra
+    return harness._run_suite(suite, seed, tolerance, gen())
+
+
+def reference_sandwich(seed, trials):
+    def trial(j, px, py):
+        mid = cmc_exact(j, px, py).value
+        return max(pearson(j) - mid,
+                   mid - maximal_correlation(j).value), {}
+    return reference_seeded_suite("sandwich", seed, trials, 1e-8, trial)
+
+
+def reference_rank_dominance(seed, trials):
+    def trial(j, px, py):
+        plus = cmc_plus(j, px, py)
+        return max(kendall_tau_b(j) - plus, spearman(j) - plus), {}
+    return reference_seeded_suite("rank-dominance", seed, trials, 1e-8,
+                                  trial)
+
+
+def reference_tensorization(seed, trials):
+    def gen():
+        for t in range(trials):
+            j1 = random_instances(seed + 2 * t, 1, (2, 2))[0]
+            j2 = random_instances(seed + 2 * t + 1, 1, (2, 2))[0]
+            px1, py1 = harness._total_orders(j1)
+            px2, py2 = harness._total_orders(j2)
+            factor = max(cmc_plus(j1, px1, py1), cmc_plus(j2, px2, py2))
+            prod = cmc_plus(product_pmf(j1, j2), product(px1, px2),
+                            product(py1, py2))
+            yield abs(prod - factor), harness._serialize_instance(j1), {}
+        j = joint_pmf([[0.5, 0.0], [0.0, 0.5]],
+                      x_values=(0, 1), y_values=(0, 1))
+        px, py = harness._total_orders(j)
+        value = cmc_exact(product_pmf(j, j), product(px, px),
+                          product(reverse(py), reverse(py))).value
+        yield -1e-9 - value, harness._serialize_instance(j), {
+            "discordant_self_product_value": value}
+    return harness._run_suite("tensorization", seed, 1e-6, gen())
+
+
+def reference_mgf(seed, trials):
+    grid = default_mgf_grid()
+
+    def trial(j, px, py):
+        target = max(r.value for r in cmc_with_x_reversed(j, px, py))
+        return mgf_bound_sup(j, grid) - target, {}
+    return reference_seeded_suite("mgf", seed, trials, 1e-7, trial)
+
+
+def reference_independence(seed, trials):
+    def trial(j, px, py):
+        tv = 0.5 * float(np.abs(
+            j.p - np.outer(marginal_x(j), marginal_y(j))).sum())
+        both = max(r.value for r in cmc_with_x_reversed(j, px, py))
+        violation = (1e-6 - both) if tv > 0.01 else -math.inf
+        return violation, {"near_zero_cmc_tv": tv} if both <= 1e-9 else {}
+    return reference_seeded_suite("independence", seed, trials, 0.0, trial)
+
+
+def fkg_biases(seed, trials):
+    """The bias vectors ``cmcorr verify fkg --n 2`` draws."""
+    return np.random.default_rng(seed).uniform(
+        0.05, 0.95, size=(trials, 2)).tolist()
+
+
+def reference_fkg(seed, trials):
+    def gen():
+        for biases in fkg_biases(seed, trials):
+            biases = tuple(float(b) for b in biases)
+            j = harness._independent_bits_pmf(biases)
+            px = harness._hypercube_order(2, j.x_labels)
+            py = reverse(harness._hypercube_order(2, j.y_labels))
+            yield (cmc_exact(j, px, py).value,
+                   harness._serialize_instance(j), {"biases": biases})
+    return harness._run_suite("fkg", None, 1e-9, gen())
+
+
+# (suite, trials per seed, reference loop); the trial counts are those of
+# the cli-small benchmark workload
+SUITES_AND_REFERENCES = {
+    "sandwich": (verify_sandwich, 24, reference_sandwich),
+    "rank-dominance": (verify_rank_dominance, 24, reference_rank_dominance),
+    "tensorization": (verify_tensorization, 8, reference_tensorization),
+    "mgf": (verify_mgf, 12, reference_mgf),
+    "independence": (verify_independence, 12, reference_independence),
+    "fkg": (lambda seed, trials: verify_fkg(2, fkg_biases(seed, trials)),
+            12, reference_fkg),
+}
+
+
+class TestOneSolvePerGroup:
+    """Each suite solves its instances in groups that share a pair of
+    orders, and reports exactly what solving one trial at a time reports:
+    every field, the worst instance and the order of the details (fkg
+    logs each trial's biases)."""
+
+    @pytest.mark.parametrize("suite", sorted(SUITES_AND_REFERENCES))
+    def test_matches_one_trial_at_a_time(self, suite):
+        verify, trials, reference = SUITES_AND_REFERENCES[suite]
+        for seed in range(1, 21):
+            assert verify(seed, trials) == reference(seed, trials), seed
+
+    def test_one_call_per_shape(self, monkeypatch):
+        calls = []
+        many = harness.cmc_many
+
+        def counted(js, px, py, *args, **kwargs):
+            calls.append((len(js), px.size, py.size))
+            return many(js, px, py, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "cmc_many", counted)
+        verify_sandwich(3, 60)
+        assert len(calls) == len({(m, n) for _, m, n in calls}) <= 9
+        assert sum(count for count, _, _ in calls) == 60
+        calls.clear()
+        verify_tensorization(3, 8)
+        assert calls == [(16, 2, 2), (8, 4, 4)]
+        calls.clear()
+        verify_fkg(2, fkg_biases(3, 12))
+        assert calls == [(12, 4, 4)]
+        calls.clear()
+        verify_mgf(3, 5)
+        verify_independence(3, 5)
+        assert sum(count for count, _, _ in calls) == 10
+
+    def test_fkg_bias_error_after_the_pmfs_before_it(self):
+        # a bad vector is refused only once the pmfs before it are solved,
+        # so a pmf before it that fails to solve raises first
+        with pytest.raises(SizeTooLarge, match="not length 2"):
+            verify_fkg(2, [[0.5, 0.5], [0.5]])
+        with pytest.raises(DegenerateMarginal):
+            verify_fkg(2, [[0.0, 0.0], [0.5]])
