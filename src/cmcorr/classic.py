@@ -5,8 +5,11 @@ rank-correlation functional of monotone pair comparators.
 All expectations are exact finite sums over the joint pmf; the two-sample
 functional sums over independent outcome pairs drawn from it.  Spearman
 uses mid-distribution grades, the tie-consistent discrete analogue of the
-CDF transform.  Kendall tau-b is the functional's sign case, computed by
-its one body.
+CDF transform, taken for every symbol in one padded pass.  Kendall
+tau-b is the functional's sign case, computed by its one body.
+:func:`rank_correlations` gives both for many pmfs: the grades of the pmfs
+that share their keys in one pass, and their sign matrices once, while
+each pmf's moments are still taken alone.
 """
 
 from __future__ import annotations
@@ -62,14 +65,30 @@ def grades(marginal) -> np.ndarray:
     return np.cumsum(w) - w / 2.0
 
 
+# About how many numbers one padded sum of the grades may hold.
+_GRADE_ENTRIES = 2 ** 18
+
+
 def _value_grades(weights: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Mid-distribution grades with respect to the key order, tie-aware."""
-    out = np.empty_like(weights)
-    for v in np.unique(keys):
-        mask = keys == v
-        below = float(weights[keys < v].sum())
-        out[mask] = below + float(weights[mask].sum()) / 2.0
-    return out
+    """Mid-distribution grades of each row of ``weights`` (..., k) with
+    respect to the key order, tie-aware: the mass strictly below a
+    symbol's key plus half the mass at it.
+
+    Both masses of every symbol come from one padded pass, summed over the
+    whole row with the other symbols' weights zeroed (symbols in slices of
+    about ``_GRADE_ENTRIES`` numbers); tied symbols get equal sums.  For
+    fewer than 8 symbols numpy sums a row one by one, so this is bit for
+    bit the sum over the selected symbols alone; from 8 on its pairwise
+    summation moves a grade by a few ulp.
+    """
+    w = weights[..., None, :]
+    step = max(1, _GRADE_ENTRIES // max(1, weights.size))
+    out = []
+    for a in range(0, len(keys), step):
+        v = keys[a:a + step, None]
+        out.append(np.where(keys < v, w, 0.0).sum(axis=-1)
+                   + np.where(keys == v, w, 0.0).sum(axis=-1) / 2.0)
+    return np.concatenate(out, axis=-1)
 
 
 def x_grades(j: JointPmf) -> np.ndarray:
@@ -82,16 +101,43 @@ def y_grades(j: JointPmf) -> np.ndarray:
 
 def spearman(j: JointPmf) -> float:
     """Pearson coefficient of the grade-transformed pair."""
-    return _correlation(j, x_grades(j), y_grades(j),
-                        "grades are constant on one side")
+    return _spearman(j, x_grades(j), y_grades(j))
+
+
+def _spearman(j: JointPmf, gx: np.ndarray, gy: np.ndarray) -> float:
+    return _correlation(j, gx, gy, "grades are constant on one side")
 
 
 def kendall_tau_b(j: JointPmf) -> float:
     """Tau-b, the sign case of :func:`pair_rank_correlation`: the Pearson
     coefficient of sign(X1 - X2) and sign(Y1 - Y2).  Signs of the keys are
     monotone in them by construction, so they skip the comparator check."""
-    return _pair_correlation(j, sign_comparator(_keys(j, "x")).values,
-                             sign_comparator(_keys(j, "y")).values)
+    return _pair_correlation(j, _signs(_keys(j, "x")), _signs(_keys(j, "y")))
+
+
+def rank_correlations(js) -> list[tuple[float, float]]:
+    """``(kendall_tau_b(j), spearman(j))`` of each pmf of ``js``, in
+    input order, each bit for bit.
+
+    The pmfs whose keys agree share one pass: their grades come from one
+    padded sum over the stacked marginals, and their sign matrices are
+    built once.  Each pmf's moments are then taken alone, tau-b first, so
+    the error raised is the one the first failing pmf raises alone.
+    """
+    groups: dict[tuple[bytes, bytes], list[int]] = {}
+    keys = [(_keys(j, "x"), _keys(j, "y")) for j in js]
+    for i, (kx, ky) in enumerate(keys):
+        groups.setdefault((kx.tobytes(), ky.tobytes()), []).append(i)
+    shared: list = [None] * len(js)
+    for members in groups.values():
+        kx, ky = keys[members[0]]
+        gx = _value_grades(np.array([marginal_x(js[i]) for i in members]), kx)
+        gy = _value_grades(np.array([marginal_y(js[i]) for i in members]), ky)
+        signs = _signs(kx), _signs(ky)
+        for b, i in enumerate(members):
+            shared[i] = signs, gx[b], gy[b]
+    return [(_pair_correlation(j, *signs), _spearman(j, gx, gy))
+            for j, (signs, gx, gy) in zip(js, shared)]
 
 
 @dataclass(frozen=True)
@@ -144,22 +190,35 @@ def pair_rank_correlation(j: JointPmf, fx: PairComparator,
     """Pearson coefficient of (f(X1, X2), g(Y1, Y2)) for i.i.d. outcome pairs."""
     _check_comparator(fx, _keys(j, "x"), "x")
     _check_comparator(gy, _keys(j, "y"), "y")
-    return _pair_correlation(j, fx.values, gy.values)
+    return _pair_correlation(j, _parts(fx.values), _parts(gy.values))
 
 
-def _pair_correlation(j: JointPmf, fv: np.ndarray, gv: np.ndarray) -> float:
-    """:func:`pair_rank_correlation` on comparator matrices, unchecked.  X1
-    and X2 are exchangeable, so each mean is taken over the symmetric part
-    (v + v.T) / 2, exactly 0.0 for an antisymmetric comparator such as a
-    sign matrix: tau-b's E[f g] / sqrt(E[f^2] E[g^2]) keeps its bits."""
+def _parts(v: np.ndarray):
+    """A comparator matrix with its symmetric part (v + v.T) / 2 and its
+    square, the three operands of :func:`_pair_correlation`."""
+    return v, (v + v.T) / 2.0, v * v
+
+
+def _signs(keys: np.ndarray):
+    """:func:`_parts` of the sign comparator of ``keys``."""
+    return _parts(np.sign(np.subtract.outer(keys, keys)))
+
+
+def _pair_correlation(j: JointPmf, fx, gy) -> float:
+    """:func:`pair_rank_correlation` on the :func:`_parts` of two
+    comparator matrices, unchecked.  X1 and X2 are exchangeable, so each
+    mean is taken over the symmetric part (v + v.T) / 2, exactly 0.0 for
+    an antisymmetric comparator such as a sign matrix: tau-b's
+    E[f g] / sqrt(E[f^2] E[g^2]) keeps its bits."""
     moments = []
-    for side, w, v in (("x", marginal_x(j), fv), ("y", marginal_y(j), gv)):
-        mean = float(np.einsum("a,c,ac->", w, w, (v + v.T) / 2.0))
-        var = float(np.einsum("a,c,ac->", w, w, v * v)) - mean ** 2
+    for side, w, (_, sym, sq) in (("x", marginal_x(j), fx),
+                                  ("y", marginal_y(j), gy)):
+        mean = float(np.einsum("a,c,ac->", w, w, sym))
+        var = float(np.einsum("a,c,ac->", w, w, sq)) - mean ** 2
         if var <= 0.0:
             raise ZeroVariance(f"the {side} side is almost surely tied "
                                "or its comparator almost surely constant")
         moments.append((mean, var))
     (mean_f, var_f), (mean_g, var_g) = moments
-    cross = float(np.einsum("ab,cd,ac,bd->", j.p, j.p, fv, gv))
+    cross = float(np.einsum("ab,cd,ac,bd->", j.p, j.p, fx[0], gy[0]))
     return (cross - mean_f * mean_g) / math.sqrt(var_f * var_g)

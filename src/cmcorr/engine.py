@@ -23,7 +23,10 @@ shape: a shape's merged pmfs are renormalized by their own totals, and
 its residuals decomposed at their exact size by one stacked SVD.  Many
 faces are cut into stacks of bounded size, and each stack is reduced to
 the candidates near the best covariance so far before the next one is
-built, so memory stays bounded.  Kept candidates are feasible by
+built, so memory stays bounded.  A near candidate is kept as its
+covariance, its sort key and its block-function rows, gathered from the
+stack in one pass; only the winner is lifted into a :class:`Candidate`,
+when the report is made.  Kept candidates are feasible by
 construction, so the reported maximum never overshoots the true value.
 Only candidates within rounding (``TIE_WINDOW``) of the best covariance
 tie, so the report is the best certified covariance.  Instances with more
@@ -51,7 +54,9 @@ a leading pmf axis: one merge, one spectral pass and one set of checks for
 all of them, and per shape one stacked SVD.  The SVD and every sum see each
 pmf's faces as they would alone, and each pmf keeps its own reduction and
 tie-break, so each report is bit for bit that of a solve of its pmf alone.
-``cmc_exact`` and ``cmc_with_x_reversed`` are the one-pmf case.
+``cmc_exact`` and ``cmc_with_x_reversed`` are the one-pmf case.  In the
+same way ``mgf_bound_sups`` answers one grid for many pmfs, with the
+exponentials of the pmfs that share their embeddings taken once.
 
 Every stack is solved for the extended candidates; the two candidate
 policies differ only in which of them ``cmc_exact`` keeps:
@@ -617,7 +622,9 @@ class _Kept(NamedTuple):
     A face has 2T + 1 candidate cells: cell c < T holds the svd pair of
     singular index c + 2 in positive orientation, cell T + c that pair in
     negative orientation (g negated), and cell 2T the structural pair.
-    Cell 0 is the literal candidate set of ``paper_faithful``.
+    Cell 0 is the literal candidate set of ``paper_faithful``.  The
+    reduction reads the few cells it keeps out of these arrays and holds
+    no reference to them.
     """
 
     hit: np.ndarray       # (B, Ax, Ay, 2T + 1) kept
@@ -630,26 +637,35 @@ class _Kept(NamedTuple):
     ty: _Tables
     ties: np.ndarray      # (B, Ax, Ay) tied residual gaps per face
 
-    def candidate(self, i: int, a: int, b: int,
-                  c: int) -> tuple[Candidate, bool]:
-        """The candidate in cell (i, a, b, c), lifted to the support
-        alphabets, and whether its face's residual spectrum has a tie."""
-        bx, by = self.tx.parts[a], self.ty.parts[b]
-        width = self.f.shape[-2] - 1  # T
-        svd = c < 2 * width
-        orientation = -1 if width <= c < 2 * width else 1
-        row = c % width if svd else width
-        s = -1.0 if self.flip[i, a, b, c] else 1.0
-        pair = ScoredPair(
-            f=s * self.f[i, a, b, row][np.asarray(bx.block_of)],
-            g=s * orientation * self.g[i, a, b, row][np.asarray(by.block_of)])
+
+class _Near(NamedTuple):
+    """A kept cell within ``TIE_WINDOW`` of its pmf's best covariance so
+    far: its sort key and covariance, and what its :class:`Candidate` is
+    built from, should it win."""
+
+    key: tuple            # Candidate.sort_key of the cell
+    cov: float
+    partition_x: BlockPartition
+    partition_y: BlockPartition
+    f: np.ndarray         # (nx,) block function, padded
+    g: np.ndarray         # (ny,) block function, padded, before orientation
+    sign: float           # -1.0 when kept as the global flip
+    tied: bool            # its face's residual spectrum has a tie
+
+    def candidate(self) -> Candidate:
+        """The cell's candidate, lifted to the support alphabets."""
+        _, _, structural, index, negative = self.key
+        orientation = -1 if negative else 1
+        s = self.sign
         return Candidate(
-            partition_x=bx, partition_y=by,
-            kind="svd" if svd else "structural",
-            index=int(row) + 2 if svd else 0,
-            orientation=orientation, pair=pair,
-            cov=float(self.cov[i, a, b, c]),
-        ), bool(self.ties[i, a, b])
+            partition_x=self.partition_x, partition_y=self.partition_y,
+            kind="structural" if structural else "svd", index=index,
+            orientation=orientation,
+            pair=ScoredPair(
+                f=s * self.f[np.asarray(self.partition_x.block_of)],
+                g=s * orientation
+                * self.g[np.asarray(self.partition_y.block_of)]),
+            cov=self.cov)
 
 
 def _solve_stack(p: np.ndarray, tx: _Tables, ty: _Tables, x_reversed: bool):
@@ -731,15 +747,15 @@ def _solve_stack(p: np.ndarray, tx: _Tables, ty: _Tables, x_reversed: bool):
 
 class _Reduction:
     """One order's running reduction over the stacks, for each of B pmfs:
-    each stack is reduced before the next is solved, and only the
-    candidates within ``TIE_WINDOW`` of a pmf's best covariance so far are
-    kept."""
+    each stack is reduced before the next is solved, and only the cells
+    within ``TIE_WINDOW`` of a pmf's best covariance so far are kept, each
+    as a :class:`_Near`; the one :class:`Candidate` built is the winner's,
+    in :meth:`report`."""
 
     def __init__(self, mode: str, count: int):
         self.mode = mode
         self.best_cov = np.full(count, -math.inf)
-        self.near: list[list[tuple[Candidate, bool]]] = [
-            [] for _ in range(count)]
+        self.near: list[list[_Near]] = [[] for _ in range(count)]
         self.checked = np.zeros(count, dtype=np.intp)
         self.n_kept = np.zeros(count, dtype=np.intp)
 
@@ -759,10 +775,27 @@ class _Reduction:
         floor = best - TIE_WINDOW
         for near, least in zip(self.near[pmfs], floor.tolist()):
             if near:
-                near[:] = [c for c in near if c[0].cov >= least]
-        for i, *cell in zip(*np.nonzero(
-                k.hit & (k.cov >= floor[:, None, None, None]))):
-            self.near[pmfs.start + i].append(k.candidate(i, *cell))
+                near[:] = [c for c in near if c.cov >= least]
+        i, a, b, c = np.nonzero(
+            k.hit & (k.cov >= floor[:, None, None, None]))
+        if not i.size:
+            return
+        # the cells' rows gathered in one pass; cell c's row is c, c - T
+        # or, for the structural cell 2T, T (see _Kept)
+        width = k.f.shape[-2] - 1
+        row = c - width * (c >= width)
+        f, g = k.f[i, a, b, row], k.g[i, a, b, row]
+        parts_x, parts_y = k.tx.parts, k.ty.parts
+        for n, (pmf, x, y, cell, cov, flip, ties) in enumerate(zip(
+                (i + pmfs.start).tolist(), a.tolist(), b.tolist(),
+                c.tolist(), k.cov[i, a, b, c].tolist(),
+                k.flip[i, a, b, c].tolist(), k.ties[i, a, b].tolist())):
+            bx, by = parts_x[x], parts_y[y]
+            key = ((bx.blocks, by.blocks, 0, cell % width + 2,
+                    int(cell >= width)) if cell < 2 * width
+                   else (bx.blocks, by.blocks, 1, 0, 0))
+            self.near[pmf].append(_Near(key, cov, bx, by, f[n], g[n],
+                                        -1.0 if flip else 1.0, ties > 0))
 
     def report(self, i: int, measure: str, js: JointPmf, px: Poset,
                py: Poset, keep_x, keep_y, diagnostics: dict,
@@ -782,7 +815,8 @@ class _Reduction:
             return CorrelationReport(measure=measure, value=float("nan"),
                                      witness=None, diagnostics=diagnostics)
 
-        best, tied = min(self.near[i], key=lambda c: c[0].sort_key())
+        near = min(self.near[i], key=lambda c: c.key)
+        best = near.candidate()
         diagnostics["tie_candidates"] = len(self.near[i])
         # the report's value is the winner's covariance as pair_stats
         # gives it
@@ -796,7 +830,7 @@ class _Reduction:
         diagnostics["winning_kind"] = best.kind
         diagnostics["winning_index"] = best.index
         diagnostics["winning_orientation"] = best.orientation
-        diagnostics["winning_face_degenerate"] = tied
+        diagnostics["winning_face_degenerate"] = near.tied
         diagnostics["runtime_seconds"] = time.perf_counter() - start
         return CorrelationReport(measure=measure, value=value,
                                  witness=witness, diagnostics=diagnostics)
@@ -811,8 +845,11 @@ def _extend_monotone(sub_values: np.ndarray, keep: tuple[int, ...],
     closure property of the stored relation makes this extension monotone
     at the same tolerance.  One walk over the strict pairs from a support
     symbol to a removed one finds every such maximum; the pairs are
-    sorted, so of equal values the lowest-indexed symbol's wins.
+    sorted, so of equal values the lowest-indexed symbol's wins.  With
+    no symbol removed, the witness comes back as a copy.
     """
+    if len(keep) == poset.size:
+        return np.array(sub_values, dtype=float)
     full = np.full(poset.size, float(np.min(sub_values)))
     full[list(keep)] = sub_values
     kept = set(keep)
@@ -967,11 +1004,12 @@ def mgf_rhs(j: JointPmf, s1: float, s2: float) -> float:
     at or below its rounding floor or any non-finite moment (one that
     overflows included) ``DegenerateDenominator``.
     """
-    return _mgf_sup(j, [(s1, s2)])
+    return _mgf_sups([j], [(s1, s2)])[0]
 
 
 def mgf_bound_sup(j: JointPmf, grid) -> float:
-    """Maximum of :func:`mgf_rhs` over a grid of (s1, s2) points.
+    """Maximum of :func:`mgf_rhs` over a grid of (s1, s2) points; the
+    one-pmf case of :func:`mgf_bound_sups`.
 
     The grid is answered in one pass: each marginal moment once per distinct
     scale, and the joint moments of all points in stacks of at most
@@ -980,75 +1018,116 @@ def mgf_bound_sup(j: JointPmf, grid) -> float:
     grid raises ``EmptyInput``; otherwise the error is that of the first
     failing point in grid order, and a degenerate one names that point.
     """
+    return mgf_bound_sups([j], grid)[0]
+
+
+def mgf_bound_sups(js: Sequence[JointPmf], grid) -> list[float]:
+    """:func:`mgf_bound_sup` of each pmf of ``js`` over one grid, in input
+    order, each bit for bit.
+
+    The exponentials depend only on the embeddings and the grid, so the
+    pmfs whose embeddings agree share them: each is taken once for all of
+    them, and only the moments, each summed as for one pmf alone, are
+    taken per pmf.  The error raised is the one the first failing pmf in
+    input order raises alone.
+    """
     grid = list(grid)
     if not grid:
         raise EmptyInput("mgf grid must contain at least one point")
-    return _mgf_sup(j, [(float(s1), float(s2)) for s1, s2 in grid])
+    return _mgf_sups(js, [(float(s1), float(s2)) for s1, s2 in grid])
 
 
-def _mgf_sup(j: JointPmf, points: list) -> float:
+def _mgf_sups(js: Sequence[JointPmf], points: list) -> list[float]:
     """The largest value of :func:`mgf_rhs` over a non-empty list of
-    (s1, s2) points, or the error of the first failing point."""
-    if j.x_values is None or j.y_values is None:
-        raise MissingValues("mgf bound needs numeric embeddings")
+    (s1, s2) points for each pmf of ``js``, or the error of the first
+    failing pmf, at its first failing point."""
     s1, s2 = np.array(points, dtype=float).reshape(-1, 2).T
     out_of_range = (np.abs(s1) < _S_MIN) | (np.abs(s2) < _S_MIN)
-    with np.errstate(all="ignore"):  # an overflow shows as a non-finite moment
-        mx, mx_sq, mx_2 = _mgf_marginal(marginal_x(j), j.x_values, s1)
-        my, my_sq, my_2 = _mgf_marginal(marginal_y(j), j.y_values, s2)
-        joint = _mgf_joint(j, s1, s2)
-        dx = mx_2 - mx_sq
-        dy = my_2 - my_sq
-        degenerate = (~(np.isfinite(joint) & np.isfinite(dx) & np.isfinite(dy))
-                      | (dx <= 1e-12 * (1.0 + np.abs(mx_2)))
-                      | (dy <= 1e-12 * (1.0 + np.abs(my_2))))
-        # dx * dy can overflow while both variances are finite; only there
-        # is the root taken factor by factor, which rounds differently
-        scale = dx * dy
-        scale = np.where(np.isfinite(scale), np.sqrt(scale),
-                         np.sqrt(dx) * np.sqrt(dy))
-        values = np.abs(joint - mx * my) / scale
-    failing = out_of_range | degenerate
-    if failing.any():
-        k = int(failing.argmax())
-        if out_of_range[k]:
-            raise SOutOfRange(f"|s| must be at least {_S_MIN}")
-        a, b = points[k]
-        raise DegenerateDenominator(
-            f"degenerate or non-finite moments at ({a}, {b})"
-        )
-    return max(values.tolist())
+    failed: dict[int, CmcorrError] = {}
+    groups: dict[tuple, list[int]] = {}
+    for i, j in enumerate(js):
+        if j.x_values is None or j.y_values is None:
+            failed[i] = MissingValues("mgf bound needs numeric embeddings")
+            break  # no later pmf can fail first
+        groups.setdefault((j.x_values, j.y_values), []).append(i)
+    out: list = [None] * len(js)
+    for (xv, yv), members in groups.items():
+        group = [js[i] for i in members]
+        # an overflow shows as a non-finite moment
+        with np.errstate(all="ignore"):
+            mx, mx_sq, mx_2 = _mgf_marginal(
+                [marginal_x(j) for j in group], xv, s1)
+            my, my_sq, my_2 = _mgf_marginal(
+                [marginal_y(j) for j in group], yv, s2)
+            joint = _mgf_joint(np.array([j.p for j in group]), xv, yv, s1, s2)
+            dx = mx_2 - mx_sq
+            dy = my_2 - my_sq
+            degenerate = (~(np.isfinite(joint) & np.isfinite(dx)
+                            & np.isfinite(dy))
+                          | (dx <= 1e-12 * (1.0 + np.abs(mx_2)))
+                          | (dy <= 1e-12 * (1.0 + np.abs(my_2))))
+            # dx * dy can overflow while both variances are finite; only
+            # there is the root taken factor by factor, which rounds
+            # differently
+            scale = dx * dy
+            scale = np.where(np.isfinite(scale), np.sqrt(scale),
+                             np.sqrt(dx) * np.sqrt(dy))
+            values = np.abs(joint - mx * my) / scale
+        failing = out_of_range | degenerate
+        for i, row, bad in zip(members, values, failing):
+            if not bad.any():
+                out[i] = max(row.tolist())
+                continue
+            k = int(bad.argmax())
+            if out_of_range[k]:
+                failed[i] = SOutOfRange(f"|s| must be at least {_S_MIN}")
+            else:
+                a, b = points[k]
+                failed[i] = DegenerateDenominator(
+                    f"degenerate or non-finite moments at ({a}, {b})")
+    if failed:
+        raise failed[min(failed)]
+    return out
 
 
-def _mgf_joint(j: JointPmf, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """E e^{s1 X + s2 Y} at each point, from stacked ``p * e^{s1 x + s2 y}``
-    arrays of at most ``_STACK_ENTRIES`` numbers.  Each point's row is summed
+def _mgf_joint(p: np.ndarray, x_values, y_values, s1: np.ndarray,
+               s2: np.ndarray) -> np.ndarray:
+    """(B, P) E e^{s1 X + s2 Y} of each pmf of ``p`` (B, m, n) at each
+    point.  The exponentials ``e^{s1 x + s2 y}`` are taken once for all
+    pmfs, in stacks of at most ``_STACK_ENTRIES`` numbers, and so are
+    their products with the pmfs; each pmf's row of a point is summed
     pairwise in row-major order, as ``np.sum`` sums one pmf-sized array."""
-    xv = np.asarray(j.x_values)[:, None]
-    yv = np.asarray(j.y_values)
-    step = max(1, _STACK_ENTRIES // j.p.size)
-    stack = np.empty((min(step, len(s1)),) + j.p.shape)
-    joint = np.empty(len(s1))
+    xv = np.asarray(x_values)[:, None]
+    yv = np.asarray(y_values)
+    count, size = len(p), p[0].size
+    step = max(1, _STACK_ENTRIES // size)
+    stack = np.empty((min(step, len(s1)),) + p.shape[1:])
+    joint = np.empty((count, len(s1)))
     for a in range(0, len(s1), step):
         b = min(a + step, len(s1))
         e = stack[:b - a]
         np.add(s1[a:b, None, None] * xv, s2[a:b, None, None] * yv, out=e)
         np.exp(e, out=e)
-        e *= j.p
-        joint[a:b] = e.reshape(b - a, -1).sum(axis=1)
+        pmfs = max(1, _STACK_ENTRIES // e.size)
+        for c in range(0, count, pmfs):
+            d = min(c + pmfs, count)
+            joint[c:d, a:b] = (e * p[c:d, None]).reshape(
+                d - c, b - a, -1).sum(axis=-1)
     return joint
 
 
-def _mgf_marginal(pm: np.ndarray, values, s: np.ndarray):
-    """E e^{sV}, its square and E e^{2sV} at each scale of ``s``, each
-    moment computed once per distinct scale."""
-    v = np.asarray(values)
+def _mgf_marginal(pms: list, values, s: np.ndarray):
+    """(B, P) E e^{sV}, its square and E e^{2sV} of each marginal of
+    ``pms`` at each scale of ``s``.  Each exponential is taken once per
+    distinct scale for all marginals, and each moment is one dot per
+    marginal and scale."""
     scales, index = np.unique(np.concatenate([s, 2 * s]), return_inverse=True)
-    moments = [float(pm @ np.exp(u * v)) for u in scales.tolist()]
-    squares = np.array([_square(m) for m in moments])
+    exps = np.exp(np.multiply.outer(scales, np.asarray(values)))
+    moments = [[float(pm @ e) for e in exps] for pm in pms]
+    squares = np.array([[_square(m) for m in row] for row in moments])
     moments = np.array(moments)
     once, twice = index.reshape(2, -1)
-    return moments[once], squares[once], moments[twice]
+    return moments[:, once], squares[:, once], moments[:, twice]
 
 
 def _square(m: float) -> float:

@@ -4,11 +4,14 @@ Each suite draws deterministic random instances, checks one inequality or
 identity at a stated tolerance, and reports the worst violation together
 with the instance that produced it, so failures replay in isolation.
 
-The instances of a suite are drawn first, and the CMC of all instances over
-one pair of orders comes from one :func:`engine.cmc_many` call, which
-solves them in shared stacks.  Each report is bit for bit that of a solve
-of its instance alone, so a suite reports what solving one trial at a time
-reports.
+The seeded suites take their trials in chunks of ``_CHUNK_TRIALS``: a
+chunk's instances are drawn, the CMC of all of them over one pair of
+orders comes from one :func:`engine.cmc_many` call, which solves them in
+shared stacks, and their reference measures come from one batched pass
+(:func:`maxcorr.maximal_correlations`, :func:`classic.rank_correlations`,
+:func:`engine.mgf_bound_sups`).  Each value is bit for bit that of its
+instance alone, so a suite reports what solving and measuring one trial at
+a time reports, and only the worst instance is serialized.
 """
 
 from __future__ import annotations
@@ -19,17 +22,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classic import kendall_tau_b, pearson, spearman
+from .classic import pearson, rank_correlations
 from .dist import JointPmf, joint_pmf, marginal_x, marginal_y, product_pmf
 from .engine import (
     FACE_LIMIT,
     cmc_exact,
     cmc_many,
     default_mgf_grid,
-    mgf_bound_sup,
+    mgf_bound_sups,
 )
 from .errors import CapExceeded, InputError, SizeTooLarge
-from .maxcorr import maximal_correlation
+from .maxcorr import maximal_correlations
 from .order import (
     Poset,
     check_enumerable,
@@ -87,7 +90,8 @@ def _total_orders(j: JointPmf) -> tuple[Poset, Poset]:
 
 def _run_suite(suite: str, seed: int | None, tolerance: float,
                violations) -> VerifyReport:
-    """Fold per-trial (violation, instance, extra) triples into a report."""
+    """Fold per-trial (violation, instance, extra) triples into a report;
+    an instance is a pmf or None, and only the worst is serialized."""
     worst = -math.inf
     worst_instance = None
     count = 0
@@ -108,7 +112,8 @@ def _run_suite(suite: str, seed: int | None, tolerance: float,
         max_violation=worst,
         passed=worst <= tolerance,
         seed=seed,
-        worst_instance=worst_instance,
+        worst_instance=None if worst_instance is None
+        else _serialize_instance(worst_instance),
         details=details,
     )
 
@@ -119,54 +124,67 @@ def _plus(report) -> float:
     return max(0.0, report.value)
 
 
-def _seeded_suite(suite: str, seed: int, trials: int, tolerance: float,
-                  trial, x_reversed: bool = False) -> VerifyReport:
-    """Run ``trial(j, cmc) -> (violation, extra)`` on ``trials`` seeded
-    instances of 2 to 4 symbols per side, both sides total orders, where
-    ``cmc`` is the ``cmc_exact`` report of ``j`` or, with ``x_reversed``,
-    the pair ``cmc_with_x_reversed`` gives.
+# The trials of a seeded suite are drawn, solved and folded this many at a
+# time, so a long run holds one chunk's instances and reports at once.
+_CHUNK_TRIALS = 256
 
-    Every instance is drawn first, trial ``t`` from seed ``seed + t``;
-    the instances are grouped by shape (at most 9 groups), each group
-    solved by one ``cmc_many`` call, and the violations folded in trial
-    order.
+
+def _seeded_suite(suite: str, seed: int, trials: int, tolerance: float,
+                  measure, x_reversed: bool = False) -> VerifyReport:
+    """Run ``measure(js, cmcs) -> [(violation, extra), ...]`` on
+    ``trials`` seeded instances of 2 to 4 symbols per side, both sides
+    total orders, where ``cmcs[t]`` is the ``cmc_exact`` report of
+    ``js[t]`` or, with ``x_reversed``, the pair ``cmc_with_x_reversed``
+    gives.
+
+    Trial ``t`` is drawn from seed ``seed + t``.  The trials are taken
+    ``_CHUNK_TRIALS`` at a time: a chunk's instances are drawn and grouped
+    by shape (at most 9 groups), each group is solved by one ``cmc_many``
+    call, the chunk is measured in one batched pass, and its violations
+    are folded in trial order before the next chunk is drawn.
     """
     shapes = np.random.default_rng(seed ^ 0x5EED).integers(
-        2, 5, size=(trials, 2))
-    instances = [random_instances(seed + t, 1, shape)[0]
-                 for t, shape in enumerate(shapes.tolist())]
+        2, 5, size=(trials, 2)).tolist()
+
+    def gen():
+        for first in range(0, trials, _CHUNK_TRIALS):
+            js = [random_instances(seed + t, 1, shape)[0] for t, shape in
+                  enumerate(shapes[first:first + _CHUNK_TRIALS], first)]
+            for j, (violation, extra) in zip(
+                    js, measure(js, _solve_by_shape(js, x_reversed))):
+                yield violation, j, extra
+    return _run_suite(suite, seed, tolerance, gen())
+
+
+def _solve_by_shape(js, x_reversed: bool) -> list:
+    """The ``cmc_many`` report of each total-order instance of ``js``, in
+    order, from one call per shape."""
     groups: dict[tuple[int, int], list[int]] = {}
-    for t, j in enumerate(instances):
+    for t, j in enumerate(js):
         groups.setdefault(j.shape, []).append(t)
-    solved: list = [None] * trials
+    solved: list = [None] * len(js)
     for members in groups.values():
-        group = [instances[t] for t in members]
+        group = [js[t] for t in members]
         for t, cmc in zip(members, cmc_many(group, *_total_orders(group[0]),
                                             x_reversed=x_reversed)):
             solved[t] = cmc
-
-    def gen():
-        for j, cmc in zip(instances, solved):
-            violation, extra = trial(j, cmc)
-            yield violation, _serialize_instance(j), extra
-    return _run_suite(suite, seed, tolerance, gen())
+    return solved
 
 
 def verify_sandwich(seed: int = 7, trials: int = 100) -> VerifyReport:
     """pearson <= cmc <= maximal correlation on total-order instances."""
-    def trial(j, cmc):
-        mid = cmc.value
-        return max(pearson(j) - mid,
-                   mid - maximal_correlation(j).value), {}
-    return _seeded_suite("sandwich", seed, trials, 1e-8, trial)
+    def measure(js, cmcs):
+        return [(max(pearson(j) - cmc.value, cmc.value - top), {})
+                for j, cmc, top in zip(js, cmcs, maximal_correlations(js))]
+    return _seeded_suite("sandwich", seed, trials, 1e-8, measure)
 
 
 def verify_rank_dominance(seed: int = 11, trials: int = 100) -> VerifyReport:
     """Kendall tau-b and Spearman never exceed the clipped CMC."""
-    def trial(j, cmc):
-        plus = _plus(cmc)
-        return max(kendall_tau_b(j) - plus, spearman(j) - plus), {}
-    return _seeded_suite("rank-dominance", seed, trials, 1e-8, trial)
+    def measure(js, cmcs):
+        return [(max(tau - _plus(cmc), rho - _plus(cmc)), {})
+                for cmc, (tau, rho) in zip(cmcs, rank_correlations(js))]
+    return _seeded_suite("rank-dominance", seed, trials, 1e-8, measure)
 
 
 def verify_tensorization(seed: int = 42, trials: int = 50) -> VerifyReport:
@@ -192,11 +210,10 @@ def verify_tensorization(seed: int = 42, trials: int = 50) -> VerifyReport:
     def gen():
         for t, prod in enumerate(products):
             factor = max(plus[2 * t], plus[2 * t + 1])
-            yield (abs(_plus(prod) - factor),
-                   _serialize_instance(factors[2 * t]), {})
+            yield abs(_plus(prod) - factor), factors[2 * t], {}
         value = cmc_exact(product_pmf(j, j), product(px, px),
                           product(reverse(py), reverse(py))).value
-        yield -1e-9 - value, _serialize_instance(j), {
+        yield -1e-9 - value, j, {
             "discordant_self_product_value": value}
     return _run_suite("tensorization", seed, 1e-6, gen())
 
@@ -253,7 +270,7 @@ def verify_fkg(n: int, bias_list) -> VerifyReport:
     if error is not None:
         raise error
     return _run_suite("fkg", None, 1e-9, (
-        (r.value, _serialize_instance(j), {"biases": biases})
+        (r.value, j, {"biases": biases})
         for r, j, biases in zip(reports, pmfs, vectors)))
 
 
@@ -261,10 +278,12 @@ def verify_mgf(seed: int = 3, trials: int = 50,
                grid=None) -> VerifyReport:
     """The moment-generating-function bound never exceeds its target."""
     grid = default_mgf_grid() if grid is None else list(grid)
-    def trial(j, cmc):
-        target = max(r.value for r in cmc)
-        return mgf_bound_sup(j, grid) - target, {}
-    return _seeded_suite("mgf", seed, trials, 1e-7, trial, x_reversed=True)
+
+    def measure(js, cmcs):
+        return [(sup - max(r.value for r in cmc), {})
+                for cmc, sup in zip(cmcs, mgf_bound_sups(js, grid))]
+    return _seeded_suite("mgf", seed, trials, 1e-7, measure,
+                         x_reversed=True)
 
 
 def verify_independence(seed: int = 5, trials: int = 100) -> VerifyReport:
@@ -274,13 +293,17 @@ def verify_independence(seed: int = 5, trials: int = 100) -> VerifyReport:
     distance) is logged in the details, not asserted, since no quantitative
     modulus is available.
     """
-    def trial(j, cmc):
-        tv = 0.5 * float(np.abs(
-            j.p - np.outer(marginal_x(j), marginal_y(j))).sum())
-        both = max(r.value for r in cmc)
-        violation = (1e-6 - both) if tv > 0.01 else -math.inf
-        return violation, {"near_zero_cmc_tv": tv} if both <= 1e-9 else {}
-    return _seeded_suite("independence", seed, trials, 0.0, trial,
+    def measure(js, cmcs):
+        out = []
+        for j, cmc in zip(js, cmcs):
+            tv = 0.5 * float(np.abs(
+                j.p - np.outer(marginal_x(j), marginal_y(j))).sum())
+            both = max(r.value for r in cmc)
+            violation = (1e-6 - both) if tv > 0.01 else -math.inf
+            out.append((violation,
+                        {"near_zero_cmc_tv": tv} if both <= 1e-9 else {}))
+        return out
+    return _seeded_suite("independence", seed, trials, 0.0, measure,
                          x_reversed=True)
 
 

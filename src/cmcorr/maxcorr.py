@@ -25,6 +25,7 @@ from .dist import (
     restrict_to_support,
 )
 from .errors import (
+    CmcorrError,
     NonFiniteValue,
     NumericalFailure,
     SizeTooLarge,
@@ -32,6 +33,8 @@ from .errors import (
 )
 
 _SIZE_LIMIT = 4096
+# About how many pmf entries one batch of maximal_correlations decomposes.
+_BATCH_ENTRIES = 2 ** 15
 _NULL_WITNESS_TOL = 1e-12
 
 
@@ -158,17 +161,25 @@ def residual_singular_pairs(j: JointPmf):
     return values[0, 0], left[0, 0], right[0, 0]
 
 
-def maximal_correlation(j: JointPmf) -> CorrelationReport:
-    """Second singular value of the Witsenhausen matrix, with witnesses."""
-    sub, keep_x, keep_y = restrict_to_support(
-        j, "maximal correlation needs two support symbols per side")
-    values, left, right = residual_singular_pairs(sub)
-    lam2 = float(values[0])
+_SUPPORT_MESSAGE = "maximal correlation needs two support symbols per side"
+
+
+def _clipped(lam2: float) -> float:
+    """The second singular value ``lam2`` clipped to [0, 1]; raises
+    :class:`NumericalFailure` when it lies outside by more than 1e-8."""
     if lam2 < -1e-8 or lam2 > 1.0 + 1e-8:
         raise NumericalFailure(
             f"second singular value {lam2!r} outside [0, 1]"
         )
-    value = min(max(lam2, 0.0), 1.0)
+    return min(max(lam2, 0.0), 1.0)
+
+
+def maximal_correlation(j: JointPmf) -> CorrelationReport:
+    """Second singular value of the Witsenhausen matrix, with witnesses."""
+    sub, keep_x, keep_y = restrict_to_support(j, _SUPPORT_MESSAGE)
+    values, left, right = residual_singular_pairs(sub)
+    lam2 = float(values[0])
+    value = _clipped(lam2)
 
     witness = None
     if lam2 > _NULL_WITNESS_TOL:
@@ -192,3 +203,46 @@ def maximal_correlation(j: JointPmf) -> CorrelationReport:
             "support_shape": sub.shape,
         },
     )
+
+
+def maximal_correlations(js) -> list[float]:
+    """``maximal_correlation(j).value`` of each pmf of ``js``, in input
+    order, without witnesses.
+
+    Each pmf is restricted to its support, and the pmfs of one support
+    shape are decomposed by one :func:`padded_residual_spectra` call with
+    a leading pmf axis, in batches of at most about ``_BATCH_ENTRIES``
+    pmf entries; its stacked SVD gives each matrix the bits it gets
+    alone.  The error raised is the one the first failing pmf in input
+    order raises alone; an error of a shape's shared decomposition is its
+    first pmf's.
+    """
+    out: list = [None] * len(js)
+    failed: dict[int, CmcorrError] = {}
+    groups: dict[tuple[int, int], list] = {}
+    for i, j in enumerate(js):
+        try:
+            sub = restrict_to_support(j, _SUPPORT_MESSAGE)[0]
+        except CmcorrError as exc:
+            failed[i] = exc
+            break  # no later pmf can fail first
+        groups.setdefault(sub.shape, []).append((i, sub.p))
+    for (m, n), members in groups.items():
+        step = max(1, _BATCH_ENTRIES // (m * n))
+        for first in range(0, len(members), step):
+            batch = members[first:first + step]
+            try:
+                values = padded_residual_spectra(
+                    np.array([p for _, p in batch])[:, None, None],
+                    ((m, 0, 1),), ((n, 0, 1),))[0]
+            except CmcorrError as exc:
+                failed[batch[0][0]] = exc
+                break  # the shape's later pmfs fail alike
+            for (i, _), lam2 in zip(batch, values[:, 0, 0, 0].tolist()):
+                try:
+                    out[i] = _clipped(lam2)
+                except CmcorrError as exc:
+                    failed[i] = exc
+    if failed:
+        raise failed[min(failed)]
+    return out

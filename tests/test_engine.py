@@ -35,6 +35,7 @@ from cmcorr.engine import (
     default_mgf_grid,
     distinct_partitions,
     mgf_bound_sup,
+    mgf_bound_sups,
     mgf_rhs,
 )
 from cmcorr.errors import (
@@ -1004,6 +1005,197 @@ class TestManyPmfs:
                 report_bits(cmc_exact(js[t], px, py))
 
 
+class ReferenceReduction:
+    """The reduction that built a lifted, copied Candidate for every cell
+    within TIE_WINDOW of the best, as ``engine._Reduction`` did before it
+    kept near cells as their key, covariance and block-function rows."""
+
+    def __init__(self, mode, count):
+        self.mode = mode
+        self.best_cov = np.full(count, -math.inf)
+        self.near = [[] for _ in range(count)]
+        self.checked = np.zeros(count, dtype=np.intp)
+        self.n_kept = np.zeros(count, dtype=np.intp)
+
+    @staticmethod
+    def candidate(k, i, a, b, c):
+        bx, by = k.tx.parts[a], k.ty.parts[b]
+        width = k.f.shape[-2] - 1
+        svd = c < 2 * width
+        orientation = -1 if width <= c < 2 * width else 1
+        row = c % width if svd else width
+        s = -1.0 if k.flip[i, a, b, c] else 1.0
+        pair = ScoredPair(
+            f=s * k.f[i, a, b, row][np.asarray(bx.block_of)],
+            g=s * orientation * k.g[i, a, b, row][np.asarray(by.block_of)])
+        return Candidate(
+            partition_x=bx, partition_y=by,
+            kind="svd" if svd else "structural",
+            index=int(row) + 2 if svd else 0,
+            orientation=orientation, pair=pair,
+            cov=float(k.cov[i, a, b, c]),
+        ), bool(k.ties[i, a, b])
+
+    def add(self, pmfs, k):
+        if self.mode == "paper_faithful":
+            k = k._replace(hit=k.hit[..., :1], tested=k.tested[..., :1],
+                           cov=k.cov[..., :1])
+        cells = (1, 2, 3)
+        self.checked[pmfs] += k.tested.sum(axis=cells)
+        self.n_kept[pmfs] += k.hit.sum(axis=cells)
+        best = np.maximum(self.best_cov[pmfs],
+                          np.where(k.hit, k.cov, -math.inf).max(axis=cells))
+        self.best_cov[pmfs] = best
+        floor = best - engine.TIE_WINDOW
+        for near, least in zip(self.near[pmfs], floor.tolist()):
+            near[:] = [c for c in near if c[0].cov >= least]
+        for i, *cell in zip(*np.nonzero(
+                k.hit & (k.cov >= floor[:, None, None, None]))):
+            self.near[pmfs.start + i].append(self.candidate(k, i, *cell))
+
+    def report(self, i, measure, js, px, py, keep_x, keep_y, diagnostics,
+               start):
+        if not self.n_kept[i]:
+            diagnostics["no_witness"] = True
+            diagnostics["explanation"] = (
+                "no singular-pair candidate was monotone on any merge "
+                "subset; the literal candidate set cannot certify this "
+                "instance (its optimum is negative or degenerate); use "
+                "extended mode"
+            )
+            diagnostics["runtime_seconds"] = 0.0
+            return CorrelationReport(measure=measure, value=float("nan"),
+                                     witness=None, diagnostics=diagnostics)
+        best, tied = min(self.near[i], key=lambda c: c[0].sort_key())
+        diagnostics["tie_candidates"] = len(self.near[i])
+        value = engine._clip_value(pair_stats(js, best.pair).cov)
+        witness = ScoredPair(
+            f=reference_extend_monotone(best.pair.f, keep_x, px),
+            g=reference_extend_monotone(best.pair.g, keep_y, py))
+        diagnostics["winning_partition_x"] = best.partition_x.blocks
+        diagnostics["winning_partition_y"] = best.partition_y.blocks
+        diagnostics["winning_kind"] = best.kind
+        diagnostics["winning_index"] = best.index
+        diagnostics["winning_orientation"] = best.orientation
+        diagnostics["winning_face_degenerate"] = tied
+        diagnostics["runtime_seconds"] = 0.0
+        return CorrelationReport(measure=measure, value=value,
+                                 witness=witness, diagnostics=diagnostics)
+
+
+def reduction_cases():
+    """Pmfs over order pairs where many cells tie: uniform, independent and
+    uniform-diagonal pmfs (tied spectra), with random ones beside them and
+    a zero-mass row or column now and then, on chains, reversed chains and
+    general posets.  On 2-chains an independent pmf's one singular pair is
+    about zero and kept in both orientations, so the orientation breaks
+    the tie."""
+    rng = np.random.default_rng(2301)
+    cases = []
+    for px, py in ((total_order("ab"), total_order("xy")),
+                   (total_order("abc"), total_order("xyz")),
+                   (total_order("abcd"), reverse(total_order("wxyz"))),
+                   (reference_posets()["vee"], total_order("xyzw")),
+                   (reference_posets()["diamond"],
+                    reference_posets()["diamond"]),
+                   (reference_posets()["chain3xchain2"], total_order("xy"))):
+        js = [seeded_instance(rng, kind, px, py)[0] for kind in
+              ("uniform", "independent", "random", "tiny", "sparse")]
+        k = min(px.size, py.size)
+        diagonal = np.zeros((px.size, py.size))
+        diagonal[range(k), range(k)] = 1.0 / k
+        js.append(joint_pmf(diagonal, px.labels, py.labels))
+        js.append(with_zero_mass(rng, js[2], px.size > 2, py.size > 2))
+        cases.append((js, px, py))
+    return cases
+
+
+class TestNearCells:
+    """Near cells kept as arrays and rows give the reports that a Candidate
+    built for every near cell gave: value, witness, tie-break and
+    ``tie_candidates``, in both modes and both ways, with near cells
+    spread over many stacks."""
+
+    @pytest.mark.parametrize("entries", [1, 60, engine._STACK_ENTRIES])
+    def test_matches_candidate_per_cell(self, monkeypatch, entries):
+        monkeypatch.setattr(engine, "_STACK_ENTRIES", entries)
+        ties = 0
+        for js, px, py in reduction_cases():
+            for mode in MODES:
+                opts = CmcOptions(mode=mode)
+                got = cmc_many(js, px, py, opts, x_reversed=True)
+                with monkeypatch.context() as m:
+                    m.setattr(engine, "_Reduction", ReferenceReduction)
+                    want = cmc_many(js, px, py, opts, x_reversed=True)
+                assert [[report_bits(r) for r in pair] for pair in got] == \
+                    [[report_bits(r) for r in pair] for pair in want]
+                ties += sum(r.diagnostics.get("tie_candidates", 0) > 1
+                            for pair in got for r in pair)
+        assert ties >= 20
+
+    def test_synthetic_ties_follow_the_sort_key(self):
+        # every cell of a face may tie with every other, in either
+        # orientation, and over two stacks: kept cells and covariances
+        # drawn at random from a few close values on 3-chains
+        rng = np.random.default_rng(2308)
+        px, py = total_order("abc"), total_order("xyz")
+        j = random_pmf(rng, 3, 3)
+        side_x, side_y = engine._sides(px, py)
+        tx, ty = side_x.table, side_y.table
+        shape = (1, len(tx.parts), len(ty.parts))
+        width = 2
+        orientations = 0
+        for _ in range(200):
+            hit = rng.random(shape + (2 * width + 1,)) < 0.6
+            cov = rng.choice([0.25, 0.25 + 1e-16, 0.25 - 1e-15, 0.2],
+                             size=hit.shape)
+            k = engine._Kept(
+                hit=hit, flip=rng.random(hit.shape) < 0.5,
+                tested=hit.astype(np.intp), cov=cov,
+                f=rng.normal(size=shape + (width + 1, 3)),
+                g=rng.normal(size=shape + (width + 1, 3)),
+                tx=tx, ty=ty, ties=rng.integers(0, 2, size=shape))
+            cut = int(rng.integers(1, len(tx.parts)))
+            stacks = [k._replace(
+                hit=k.hit[:, rows], flip=k.flip[:, rows],
+                tested=k.tested[:, rows], cov=k.cov[:, rows],
+                f=k.f[:, rows], g=k.g[:, rows], ties=k.ties[:, rows],
+                tx=tx.rows(rows.start, rows.stop))
+                for rows in (slice(0, cut), slice(cut, len(tx.parts)))]
+            for mode in MODES:
+                reports = []
+                for reduction in (engine._Reduction(mode, 1),
+                                  ReferenceReduction(mode, 1)):
+                    for stack in stacks:
+                        reduction.add(slice(0, 1), stack)
+                    reports.append(report_bits(reduction.report(
+                        0, "cmc", j, px, py, (0, 1, 2), (0, 1, 2), {}, 0.0)))
+                assert reports[0] == reports[1]
+                orientations += reports[0][3].get(
+                    "winning_orientation") == -1
+        assert orientations >= 10
+
+    def test_near_cells_hold_no_stack_array(self, monkeypatch):
+        # every row a near cell keeps is cut from a gathered copy, never a
+        # view of the stack's own block functions
+        held = []
+
+        class Watched(engine._Reduction):
+            def add(self, pmfs, k):
+                super().add(pmfs, k)
+                held.append((k, [c for near in self.near for c in near]))
+
+        monkeypatch.setattr(engine, "_Reduction", Watched)
+        monkeypatch.setattr(engine, "_STACK_ENTRIES", 60)
+        js, px, py = reduction_cases()[2]
+        cmc_many(js, px, py)
+        assert len(held) > 1
+        for k, near in held:
+            for cell in near:
+                assert not np.shares_memory(cell.f, k.f)
+                assert not np.shares_memory(cell.g, k.g)
+
+
 class TestStructuralProperties:
     def test_sandwich(self):
         rng = np.random.default_rng(23)
@@ -1832,6 +2024,59 @@ class TestMgfGrid:
             assert mgf_bound_sup(j, [(s, s), (1.0, -1.0)]) == value
         assert abs(value - 0.6) <= 1e-12
         assert value.hex() == reference_mgf_rhs(j, s, s).hex()
+
+    @pytest.mark.parametrize("entries", [5, 100, engine._STACK_ENTRIES])
+    def test_many_pmfs_keep_their_bits(self, monkeypatch, entries):
+        # pmfs of many shapes and embeddings in one call, some sharing
+        # them, some failing: each value or error is the one its pmf gives
+        # alone, with the exponentials in stacks of one point and one pmf
+        # or more
+        js = list(mgf_instances(23, 30))
+        js += [replace(j, p=np.full(j.shape, 1 / j.p.size)) for j in js[:6]]
+        js += [dsbs(), uniform_3x3(), dsbs()]
+        js.insert(17, joint_pmf(DSBS, x_values=(0.0, 1e-5), y_values=(0, 1)))
+        js.insert(25, joint_pmf(DSBS))
+        failures = 0
+        for name in ("default", "scales-0.01-3", "repeated"):
+            grid = MGF_GRIDS[name]
+            alone = [outcome(mgf_bound_sup, j, grid) for j in js]
+            values = [r for r in alone if isinstance(r, str)]
+            errors = [r for r in alone if not isinstance(r, str)]
+            assert len(values) >= 20
+            with monkeypatch.context() as m:
+                m.setattr(engine, "_STACK_ENTRIES", entries)
+                passing = [j for j, r in zip(js, alone)
+                           if isinstance(r, str)]
+                assert [v.hex() for v in mgf_bound_sups(passing, grid)] == \
+                    values
+                if errors:
+                    with pytest.raises(errors[0][0]) as info:
+                        mgf_bound_sups(js, grid)
+                    assert str(info.value) == errors[0][1]
+                    failures += 1
+        assert failures == 3
+
+    def test_many_pmfs_first_failure(self):
+        # a pmf without embeddings, one degenerate at a grid point and one
+        # over an out-of-range point each fail alone; the first one wins
+        bare = joint_pmf(DSBS)
+        flat = joint_pmf(DSBS, x_values=(0.0, 1e-5), y_values=(0, 1))
+        grid = [(4.0, 1.0), (-0.25, 1.0)]
+        for js, error in (([dsbs(), flat, bare], DegenerateDenominator),
+                          ([dsbs(), bare, flat], MissingValues),
+                          ([uniform_3x3(), dsbs(), flat],
+                           DegenerateDenominator)):
+            with pytest.raises(error) as info:
+                mgf_bound_sups(js, grid)
+            with pytest.raises(error) as alone:
+                mgf_bound_sup(next(j for j in js if j is flat or j is bare),
+                              grid)
+            assert str(info.value) == str(alone.value)
+        with pytest.raises(SOutOfRange):
+            mgf_bound_sups([dsbs(), flat], [(1e-4, 1.0)])
+        with pytest.raises(EmptyInput):
+            mgf_bound_sups([dsbs()], [])
+        assert mgf_bound_sups([], grid) == []
 
     def test_overflowing_exp_is_degenerate_without_warning(self):
         with warnings.catch_warnings():

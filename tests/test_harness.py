@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,7 +221,7 @@ def reference_seeded_suite(suite, seed, trials, tolerance, trial):
         for t, shape in enumerate(shapes.tolist()):
             j = random_instances(seed + t, 1, shape)[0]
             violation, extra = trial(j, *harness._total_orders(j))
-            yield violation, harness._serialize_instance(j), extra
+            yield violation, j, extra
     return harness._run_suite(suite, seed, tolerance, gen())
 
 
@@ -250,13 +251,13 @@ def reference_tensorization(seed, trials):
             factor = max(cmc_plus(j1, px1, py1), cmc_plus(j2, px2, py2))
             prod = cmc_plus(product_pmf(j1, j2), product(px1, px2),
                             product(py1, py2))
-            yield abs(prod - factor), harness._serialize_instance(j1), {}
+            yield abs(prod - factor), j1, {}
         j = joint_pmf([[0.5, 0.0], [0.0, 0.5]],
                       x_values=(0, 1), y_values=(0, 1))
         px, py = harness._total_orders(j)
         value = cmc_exact(product_pmf(j, j), product(px, px),
                           product(reverse(py), reverse(py))).value
-        yield -1e-9 - value, harness._serialize_instance(j), {
+        yield -1e-9 - value, j, {
             "discordant_self_product_value": value}
     return harness._run_suite("tensorization", seed, 1e-6, gen())
 
@@ -294,7 +295,7 @@ def reference_fkg(seed, trials):
             px = harness._hypercube_order(2, j.x_labels)
             py = reverse(harness._hypercube_order(2, j.y_labels))
             yield (cmc_exact(j, px, py).value,
-                   harness._serialize_instance(j), {"biases": biases})
+                   j, {"biases": biases})
     return harness._run_suite("fkg", None, 1e-9, gen())
 
 
@@ -353,3 +354,34 @@ class TestOneSolvePerGroup:
             verify_fkg(2, [[0.5, 0.5], [0.5]])
         with pytest.raises(DegenerateMarginal):
             verify_fkg(2, [[0.0, 0.0], [0.5]])
+
+
+class TestChunkedTrials:
+    """A seeded suite draws, solves and folds its trials one chunk at a
+    time, so its memory does not grow with the number of trials."""
+
+    def test_long_run_peak_near_a_short_one(self, monkeypatch):
+        monkeypatch.setattr(harness, "_CHUNK_TRIALS", 8)
+        verify_sandwich(1, 480)  # every shape's tables in the memo
+
+        def traced_peak(trials):
+            tracemalloc.start()
+            try:
+                verify_sandwich(2, trials)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = traced_peak(48), traced_peak(480)
+        # holding every instance and report until the fold would add about
+        # 3 MB over the 432 more trials; measured 0.26 MB more
+        assert long < short + 600e3
+
+    @pytest.mark.parametrize("suite", ["sandwich", "rank-dominance", "mgf",
+                                       "independence"])
+    def test_chunks_leave_reports_unchanged(self, monkeypatch, suite):
+        verify, _, _ = SUITES_AND_REFERENCES[suite]
+        whole = verify(3, 40)
+        for chunk in (1, 7, 40):
+            monkeypatch.setattr(harness, "_CHUNK_TRIALS", chunk)
+            assert verify(3, 40) == whole

@@ -7,12 +7,18 @@ import pytest
 from cmcorr.dist import joint_pmf, marginal_x, marginal_y, pair_stats
 from cmcorr.errors import (
     DegenerateMarginal,
+    InputError,
     NonFiniteValue,
+    NumericalFailure,
     SizeTooLarge,
     ZeroMarginal,
 )
 import cmcorr.maxcorr as maxcorr
-from cmcorr.maxcorr import maximal_correlation, residual_singular_pairs
+from cmcorr.maxcorr import (
+    maximal_correlation,
+    maximal_correlations,
+    residual_singular_pairs,
+)
 
 DSBS = [[0.4, 0.1], [0.1, 0.4]]
 
@@ -246,3 +252,98 @@ class TestResidualPairs:
         values, left, right = residual_singular_pairs(j)
         assert values[0] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(np.abs(left[0]), [math.sqrt(0.5)] * 2, atol=1e-10)
+
+
+def outcome(f, js):
+    """``f(js)`` as a list of float.hex, or its error's class and message."""
+    try:
+        return [v.hex() for v in f(js)]
+    except (InputError, NumericalFailure) as exc:
+        return type(exc), str(exc)
+
+
+def one_at_a_time(js):
+    """Each value as ``maximal_correlation`` gives it alone; an error is
+    that of the first pmf that fails alone."""
+    return [maximal_correlation(j).value for j in js]
+
+
+def batch_cases():
+    """Seeded 2x2 to 4x4 pmfs in one list: random, independent (second
+    singular value about 1e-17), uniform and diagonal ones, and a quarter
+    with an empty row or column, so support shapes differ within a shape."""
+    rng = np.random.default_rng(2302)
+    js = []
+    for t in range(96):
+        m, n = (int(a) for a in rng.integers(2, 5, size=2))
+        kind = t % 4
+        if kind == 0:
+            p = rng.dirichlet(np.ones(m * n)).reshape(m, n)
+        elif kind == 1:
+            p = np.outer(rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n)))
+        elif kind == 2:
+            p = np.full((m, n), 1.0 / (m * n))
+        else:
+            p = np.zeros((m, n))
+            p[range(min(m, n)), range(min(m, n))] = 1.0
+        if t % 8 in (1, 6) and m > 2:
+            p[rng.integers(m)] = 0.0
+        if t % 8 in (2, 6) and n > 2:
+            p[:, rng.integers(n)] = 0.0
+        js.append(joint_pmf(p / p.sum()))
+    return js
+
+
+class TestMaximalCorrelations:
+    """The batched values are ``maximal_correlation(j).value`` bit for bit,
+    and the error is that of the first pmf that fails alone."""
+
+    @pytest.mark.parametrize("entries", [1, 20, maxcorr._BATCH_ENTRIES])
+    def test_bits_match_one_at_a_time(self, monkeypatch, entries):
+        js = batch_cases()
+        assert len({j.shape for j in js}) == 9
+        assert sum(maximal_correlation(j).value < 1e-12 for j in js) >= 20
+        monkeypatch.setattr(maxcorr, "_BATCH_ENTRIES", entries)
+        got = [v.hex() for v in maximal_correlations(js)]
+        assert got == [maximal_correlation(j).value.hex() for j in js]
+
+    def test_one_decomposition_per_support_shape(self, monkeypatch):
+        calls = []
+        spectra = maxcorr.padded_residual_spectra
+
+        def counted(p, runs_x, runs_y):
+            calls.append(p.shape)
+            return spectra(p, runs_x, runs_y)
+
+        monkeypatch.setattr(maxcorr, "padded_residual_spectra", counted)
+        js = batch_cases()
+        maximal_correlations(js)
+        shapes = {maxcorr.restrict_to_support(j, "")[0].shape for j in js}
+        assert sorted(shape[-2:] for shape in calls) == sorted(shapes)
+        assert sum(shape[0] for shape in calls) == len(js)
+        assert maximal_correlations([]) == []
+
+    def test_first_failing_pmf_in_input_order(self, monkeypatch):
+        # every second singular value tripled: 0.2 stays inside [0, 1],
+        # 0.6 and the 3x3 pmf's do not
+        lapack = maxcorr._lapack
+
+        def tripled(arr):
+            u, s, vt = lapack(arr)
+            return u, 3.0 * s, vt
+
+        monkeypatch.setattr(maxcorr, "_lapack", tripled)
+        weak = joint_pmf([[0.3, 0.2], [0.2, 0.3]])
+        strong = joint_pmf(DSBS)
+        strong3 = joint_pmf(np.eye(3) * 0.3 + 0.1 / 9)
+        one_row = joint_pmf([[0.5, 0.5], [0.0, 0.0]])
+        assert isinstance(outcome(one_at_a_time, [weak]), list)
+        for js in ([weak, strong, one_row], [weak, one_row, strong],
+                   [strong3, weak, strong], [weak, strong, strong3],
+                   [one_row, strong3], [weak, weak]):
+            assert outcome(maximal_correlations, js) == \
+                outcome(one_at_a_time, js)
+        # the 3x3 shape is decomposed first, but the 2x2 pmf fails first
+        free3 = joint_pmf(np.full((3, 3), 1 / 9))
+        with pytest.raises(NumericalFailure, match=r"1\.79"):
+            maximal_correlations([free3, strong, strong3])
